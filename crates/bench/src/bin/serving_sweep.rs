@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 use npu_arch::NpuGeneration;
 use npu_models::{DlrmSize, LlamaModel, LlmPhase, Workload};
 use npu_serving::{ArrivalProcess, BatchPolicy, ServingOutcome, ServingReport, ServingSimulator};
+use npu_sim::trace::json_string;
 use regate::{Design, Evaluator, PolicyKind};
-use regate_bench::report::{json_string, BENCH_SCHEMA_VERSION};
 use regate_bench::{pct, section};
 
 fn main() {
@@ -262,7 +262,7 @@ fn main() {
 
     if let Some(path) = &json_path {
         let json = format!(
-            "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"tool\": \
+            "{{\n  \"schema_version\": 1,\n  \"tool\": \
              \"serving_sweep\",\n  \"requests_per_load_point\": {requests},\n  \"deployments\": \
              [\n{}\n  ]\n}}\n",
             json_deployments.join(",\n")

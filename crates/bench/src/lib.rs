@@ -1,16 +1,12 @@
-//! # regate-bench — benchmark harness for the ReGate reproduction
+//! # regate-bench — experiment harness for the ReGate reproduction
 //!
 //! The `src/bin` binaries regenerate the data behind every table and figure
-//! of the paper (see `DESIGN.md` for the experiment index), the Criterion
-//! benches in `benches/` measure the cost of the simulator, the compiler
-//! passes, and the PE-gating logic, and the workspace-level examples and
-//! integration tests are wired through this package.
+//! of the paper (see the README's "Benches and harness binaries" section),
+//! and the workspace-level examples and integration tests are wired
+//! through this package. Host-time performance is measured by the
+//! separate `servebench/` package, the repository's one benchmark.
 
 #![warn(missing_docs)]
-
-pub mod report;
-
-pub use report::{measure, BenchReport, Measured, BENCH_SCHEMA_VERSION};
 
 /// Formats a fraction as a percentage with one decimal place.
 #[must_use]

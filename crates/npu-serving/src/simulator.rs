@@ -521,8 +521,7 @@ impl ServingSimulator {
 
     /// Serves an arrival trace by lowering and compiling every batch from
     /// scratch — the pre-cache path, kept as the correctness baseline the
-    /// cached [`ServingSimulator::run`] is digest-compared against (and
-    /// benchmarked against in `BENCH_serving.json`).
+    /// cached [`ServingSimulator::run`] is digest-compared against.
     ///
     /// # Panics
     ///

@@ -6,14 +6,13 @@
 //! The default observer, [`NullObserver`], is a zero-sized type whose
 //! hooks are empty default methods: the engine's observed run is generic
 //! over `O: SimObserver`, so the `NullObserver` instantiation monomorphizes
-//! every hook away and the unobserved hot path stays bit-identical and
-//! allocation-free (pinned by the digest tests and the `engine_hot_loop`
-//! bench). Real observers — [`crate::trace::TraceRecorder`], ad-hoc test
-//! probes — pay only for what they record.
+//! every hook away and the unobserved hot path stays bit-identical
+//! (pinned by the digest tests) at no added cost. Real observers —
+//! [`crate::trace::TraceRecorder`], ad-hoc test probes, the host-time
+//! observer in `servebench/` — pay only for what they record.
 //!
-//! Wall-clock profiling is deliberately quarantined behind the
-//! `obs-wallclock` feature: default builds of this crate contain no
-//! `Instant` reads, so the xtask determinism lint keeps holding the
+//! This crate reads no wall clock: host-time profiling lives in
+//! `servebench/`, so the xtask determinism lint keeps holding the
 //! simulation crates to pure-function output.
 
 use crate::timeline::ResourceId;
@@ -80,66 +79,6 @@ pub trait SimObserver {
 pub struct NullObserver;
 
 impl SimObserver for NullObserver {}
-
-/// Wall-clock profiling observer, available only with the `obs-wallclock`
-/// feature so default builds stay free of ambient-time reads (and the
-/// xtask `wall-clock` lint keeps enforcing that).
-#[cfg(feature = "obs-wallclock")]
-pub mod wallclock {
-    use super::SimObserver;
-
-    /// Measures the wall-clock cost of the observed run: events popped
-    /// and elapsed host time between construction and the last hook.
-    #[derive(Debug)]
-    pub struct WallClockProfiler {
-        started: std::time::Instant, // lint:allow(wall-clock) feature-gated profiling
-        events: u64,
-        last_elapsed: std::time::Duration,
-    }
-
-    impl WallClockProfiler {
-        /// Starts the profiler's clock.
-        #[must_use]
-        pub fn start() -> Self {
-            WallClockProfiler {
-                started: std::time::Instant::now(), // lint:allow(wall-clock) feature-gated profiling
-                events: 0,
-                last_elapsed: std::time::Duration::ZERO,
-            }
-        }
-
-        /// Events popped since construction.
-        #[must_use]
-        pub fn events(&self) -> u64 {
-            self.events
-        }
-
-        /// Host time between construction and the last observed event.
-        #[must_use]
-        pub fn elapsed(&self) -> std::time::Duration {
-            self.last_elapsed
-        }
-
-        /// Events per host second over the observed window (zero before
-        /// any time has elapsed).
-        #[must_use]
-        pub fn events_per_second(&self) -> f64 {
-            let secs = self.last_elapsed.as_secs_f64();
-            if secs > 0.0 {
-                self.events as f64 / secs
-            } else {
-                0.0
-            }
-        }
-    }
-
-    impl SimObserver for WallClockProfiler {
-        fn event_popped(&mut self, _at: u64, _pending: usize) {
-            self.events += 1;
-            self.last_elapsed = self.started.elapsed();
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -293,8 +293,12 @@ fn complete_event(tid: usize, s: &TraceSlice) -> String {
     )
 }
 
-/// Quotes and escapes a string for JSON output.
-fn json_string(s: &str) -> String {
+/// Quotes and escapes a string as an RFC 8259 JSON string literal: `"`
+/// and `\\` are backslash-escaped, `\n`/`\r`/`\t` use their short
+/// escapes, other control characters below U+0020 become `\u00XX`, and
+/// everything else passes through unchanged.
+#[must_use]
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -384,5 +388,6 @@ mod tests {
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_string("x\ny"), "\"x\\ny\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_string("a\tb\r"), "\"a\\tb\\r\"");
     }
 }

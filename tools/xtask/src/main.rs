@@ -1,7 +1,7 @@
 //! Workspace verification tasks, runnable as `cargo run -p xtask -- <task>`.
 //!
 //! `check-json <file>...` verifies that hand-rendered JSON artifacts
-//! (exported traces, power waveforms, `BENCH_*` envelopes) parse as
+//! (exported traces, power waveforms, the serving-sweep matrix) parse as
 //! well-formed documents — the workspace vendors no JSON library, so the
 //! exporters render by hand and this gate catches envelope bugs in CI.
 //!
@@ -102,14 +102,14 @@ fn main() -> ExitCode {
             eprintln!("  lint        deny hash-iteration, wall-clock, unseeded RNG, and bare");
             eprintln!("              unwrap/expect in the workspace sources");
             eprintln!("  check-json  verify each file parses as a single well-formed JSON");
-            eprintln!("              document (exported traces, BENCH_* envelopes)");
+            eprintln!("              document (exported traces, sweep matrices)");
             ExitCode::from(2)
         }
     }
 }
 
 /// Verifies each listed file is one well-formed JSON document — the CI
-/// gate over exported traces, power waveforms, and `BENCH_*` envelopes
+/// gate over exported traces, power waveforms, and the serving-sweep matrix
 /// (all hand-rendered, none produced by a JSON library).
 fn run_check_json(files: &[String]) -> ExitCode {
     if files.is_empty() {
