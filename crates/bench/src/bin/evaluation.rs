@@ -9,20 +9,24 @@
 //! Pass `--full` to use the exact Table 4 chip counts (slower), or
 //! `--quick` for the minimal CI smoke subset. Every configuration is run
 //! through the static schedule analyzer before simulation; a Deny
-//! diagnostic aborts the run (opt out with `--no-verify`).
+//! diagnostic aborts the run.
 
 use npu_arch::{ChipConfig, NpuGeneration, ParallelismConfig};
-use npu_compiler::Compiler;
+use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::{DlrmSize, LlamaModel, LlmPhase, Workload};
 use npu_power::GatingParams;
 use npu_sim::{analysis, Simulator, ValidationReport};
 use regate::experiments::{parallel_evaluation_sweep, setpm_rate};
 use regate_bench::{pct, section};
 
-/// Runs the static deployment pass for one workload × chip-count
-/// configuration and aborts on any Deny diagnostic: a graph the analyzer
-/// rejects would produce numbers no figure should trust.
-fn verify_deployment(workload: &Workload, num_chips: usize, label: &str) {
+/// Compiles one workload × chip-count configuration, runs the static
+/// deployment pass on it and aborts on any Deny diagnostic: a graph the
+/// analyzer rejects would produce numbers no figure should trust.
+fn verify_deployment(
+    workload: &Workload,
+    num_chips: usize,
+    label: &str,
+) -> (ChipConfig, CompiledGraph) {
     let chip = ChipConfig::new(NpuGeneration::D, num_chips);
     let parallelism = workload
         .default_parallelism(chip.spec(), num_chips)
@@ -35,6 +39,7 @@ fn verify_deployment(workload: &Workload, num_chips: usize, label: &str) {
         "static analysis denied configuration '{label}':\n{}",
         report.render()
     );
+    (chip, compiled)
 }
 
 /// How much of the figure set to regenerate.
@@ -75,19 +80,13 @@ fn main() {
     } else {
         Scale::Default
     };
-    let verify = !std::env::args().any(|a| a == "--no-verify");
 
-    if verify {
-        section("Static analysis: verifying every configuration before simulation");
-        let configs = eval_set(scale);
-        for config in &configs {
-            verify_deployment(&config.workload, config.num_chips, &config.workload.label());
-        }
-        println!(
-            "{} Table 4 configuration(s) verified: zero Deny diagnostics (skip with --no-verify)",
-            configs.len()
-        );
+    section("Static analysis: verifying every configuration before simulation");
+    let configs = eval_set(scale);
+    for config in &configs {
+        let _ = verify_deployment(&config.workload, config.num_chips, &config.workload.label());
     }
+    println!("{} Table 4 configuration(s) verified: zero Deny diagnostics", configs.len());
 
     section("Figure 16: simulator validation vs. analytical roofline");
     let validation_set: Vec<(Workload, &str)> = if scale == Scale::Quick {
@@ -101,23 +100,7 @@ fn main() {
         ]
     };
     for (workload, label) in validation_set {
-        let chip = ChipConfig::new(NpuGeneration::D, 8);
-        let parallelism =
-            workload.default_parallelism(chip.spec(), 8).unwrap_or(ParallelismConfig::new(8, 1, 1));
-        let graph = workload.build_graph(&parallelism);
-        let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
-        if verify {
-            let report = analysis::analyze_deployment(
-                &compiled,
-                chip.spec(),
-                Some(&GatingParams::default()),
-            );
-            assert!(
-                report.is_schedulable(),
-                "static analysis denied validation workload '{label}':\n{}",
-                report.render()
-            );
-        }
+        let (chip, compiled) = verify_deployment(&workload, 8, label);
         let result = Simulator::new(chip.clone()).run(&compiled);
         let report = ValidationReport::for_simulation(&result, chip.spec());
         let hidden = result.serial_cycles().saturating_sub(result.total_cycles());

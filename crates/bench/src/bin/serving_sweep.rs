@@ -6,8 +6,8 @@
 //! Run with `cargo run --release -p regate_bench --bin serving_sweep`.
 //! Every serving outcome is verified by the static schedule analyzer —
 //! DAG rules, trace sanity, and makespan-window containment — before its
-//! numbers are reported; a Deny diagnostic aborts the sweep (opt out with
-//! `--no-verify`). Pass `--quick` for the minimal CI smoke subset, and
+//! numbers are reported; a Deny diagnostic aborts the sweep. Pass
+//! `--quick` for the minimal CI smoke subset, and
 //! `--floor <cycles-per-second>` to fail (exit 1) if the sweep's serving
 //! throughput — simulated cycles scheduled per wall-second, summed over
 //! every `ServingSimulator::run` call — drops below the floor. CI pins a
@@ -28,7 +28,6 @@ use regate_bench::{pct, section};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let verify = !args.iter().any(|a| a == "--no-verify");
     let floor: Option<f64> = args
         .iter()
         .position(|a| a == "--floor")
@@ -55,25 +54,23 @@ fn main() {
             let outcome = server.run(arrivals, policy);
             serving_wall += start.elapsed();
             simulated_cycles += outcome.makespan_cycles();
-            if verify {
-                let report = server.verify(&outcome);
-                assert!(
-                    report.is_schedulable(),
-                    "static analysis denied a serving outcome ({} arrivals, {}):\n{}",
-                    arrivals.len(),
-                    policy.label(),
-                    report.render()
-                );
-                let window = report.makespan_window.expect("verified outcomes carry a window");
-                assert!(
-                    window.contains(outcome.makespan_cycles()),
-                    "measured makespan {} escaped the static window [{}, {}]",
-                    outcome.makespan_cycles(),
-                    window.lower_cycles,
-                    window.upper_cycles
-                );
-                verified_outcomes += 1;
-            }
+            let report = server.verify(&outcome);
+            assert!(
+                report.is_schedulable(),
+                "static analysis denied a serving outcome ({} arrivals, {}):\n{}",
+                arrivals.len(),
+                policy.label(),
+                report.render()
+            );
+            let window = report.makespan_window.expect("verified outcomes carry a window");
+            assert!(
+                window.contains(outcome.makespan_cycles()),
+                "measured makespan {} escaped the static window [{}, {}]",
+                outcome.makespan_cycles(),
+                window.lower_cycles,
+                window.upper_cycles
+            );
+            verified_outcomes += 1;
             outcome
         };
     let designs = [Design::ReGateBase, Design::ReGateHw, Design::ReGateFull];
@@ -167,26 +164,24 @@ fn main() {
         // first, then the extended policies.
         let kinds: Vec<PolicyKind> =
             designs.iter().map(|&d| PolicyKind::Preset(d)).chain(PolicyKind::EXTENDED).collect();
-        if verify {
-            // Analyzer pass over every per-component policy of every
-            // evaluated configuration: the sweep refuses to tabulate a
-            // policy whose parameterization is inconsistent.
-            for &kind in &kinds {
-                let config = kind.config(evaluator.gating(), server.chip().spec());
-                for policy in config.component_policies() {
-                    let diagnostics = npu_sim::analysis::check_power_policy(policy);
-                    assert!(
-                        diagnostics.is_empty(),
-                        "policy {} failed analyzer verification:\n{}",
-                        kind.label(),
-                        diagnostics
-                            .iter()
-                            .map(|d| format!("  [{}] {}", d.rule_id, d.message))
-                            .collect::<Vec<_>>()
-                            .join("\n")
-                    );
-                    verified_policies += 1;
-                }
+        // Analyzer pass over every per-component policy of every
+        // evaluated configuration: the sweep refuses to tabulate a policy
+        // whose parameterization is inconsistent.
+        for &kind in &kinds {
+            let config = kind.config(evaluator.gating(), server.chip().spec());
+            for policy in config.component_policies() {
+                let diagnostics = npu_sim::analysis::check_power_policy(policy);
+                assert!(
+                    diagnostics.is_empty(),
+                    "policy {} failed analyzer verification:\n{}",
+                    kind.label(),
+                    diagnostics
+                        .iter()
+                        .map(|d| format!("  [{}] {}", d.rule_id, d.message))
+                        .collect::<Vec<_>>()
+                        .join("\n")
+                );
+                verified_policies += 1;
             }
         }
         section(&format!("Policy matrix: {label} on {chips} NPU-D chip(s)"));
@@ -271,13 +266,11 @@ fn main() {
         println!("\nwrote policy matrix JSON to {path}");
     }
 
-    if verify {
-        println!(
-            "\nstatic analysis: {verified_outcomes} serving outcome(s) and {verified_policies} \
-             component policy configuration(s) verified — zero Deny diagnostics, every makespan \
-             inside its window (skip with --no-verify)"
-        );
-    }
+    println!(
+        "\nstatic analysis: {verified_outcomes} serving outcome(s) and {verified_policies} \
+         component policy configuration(s) verified — zero Deny diagnostics, every makespan \
+         inside its window"
+    );
     let throughput = simulated_cycles as f64 / serving_wall.as_secs_f64().max(1e-12);
     println!(
         "\nserving throughput: {simulated_cycles} simulated cycles in {:.3} s of serving wall \

@@ -283,9 +283,12 @@ impl Evaluator {
     }
 
     /// Evaluates every design point over a *pre-built* compiled graph and
-    /// simulation — the entry point for callers that schedule their own
-    /// traces (the serving simulator's arrival-driven runs, where the
-    /// timeline already contains queueing and inter-request gaps).
+    /// simulation, taking ownership of the simulation so the returned
+    /// [`WorkloadEvaluation`] carries it. [`Self::try_evaluate`] builds on
+    /// this; callers that only need the per-design rows of a borrowed
+    /// trace (the serving report) use [`Self::evaluate_policies`] with
+    /// the [`PolicyKind::Preset`] kinds, which reproduces these rows bit
+    /// for bit.
     ///
     /// `duty_cycle` attributes the out-of-duty-cycle idle leakage the
     /// simulated window cannot see: the standard single-batch path passes

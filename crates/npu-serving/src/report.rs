@@ -13,11 +13,10 @@
 use std::collections::BTreeMap;
 
 use npu_arch::ComponentKind;
-use npu_sim::RunCounters;
-use regate::{Design, Evaluator, WorkloadEvaluation};
+use regate::{Design, Evaluator, PolicyKind};
 use serde::{Deserialize, Serialize};
 
-use crate::simulator::{ServingCacheCounters, ServingOutcome};
+use crate::simulator::ServingOutcome;
 
 /// Energy accounting of one design over the whole serving trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,42 +59,32 @@ pub struct ServingReport {
     pub whole_chip_idle_fraction: f64,
     /// Per-design energy rows.
     pub designs: BTreeMap<Design, DesignServingRow>,
-    /// Engine run counters of the scheduled trace (events popped, heap
-    /// peak, release-clamp stalls, …).
-    pub engine_counters: RunCounters,
-    /// Compile-cache hit/miss counters snapshot when the run finished.
-    pub cache_counters: ServingCacheCounters,
-    /// The full per-design evaluation the rows were derived from.
-    pub evaluation: WorkloadEvaluation,
 }
 
 impl ServingReport {
     /// Evaluates a serving outcome across every design point.
     #[must_use]
     pub fn evaluate(outcome: &ServingOutcome, evaluator: &Evaluator) -> Self {
-        let evaluation = evaluator.evaluate_compiled(
-            &outcome.total_workload(),
+        let kinds = Design::ALL.map(PolicyKind::Preset);
+        let evaluation = evaluator.evaluate_policies(
             outcome.num_chips,
-            outcome.parallelism,
             &outcome.compiled,
-            outcome.simulation.clone(),
+            &outcome.simulation,
             // The trace holds its own idleness; see the module docs.
             1.0,
+            &kinds,
         );
         let num_requests = outcome.requests.len();
-        let mut designs = BTreeMap::new();
-        for design in Design::ALL {
-            let total_j = evaluation.design(design).energy.total_j();
-            designs.insert(
-                design,
-                DesignServingRow {
-                    total_j,
-                    energy_per_request_j: (num_requests > 0)
-                        .then(|| total_j * outcome.num_chips as f64 / num_requests as f64),
-                    savings: evaluation.energy_savings(design),
-                },
-            );
-        }
+        let designs = Design::ALL
+            .into_iter()
+            .zip(&evaluation.rows)
+            .map(|(design, row)| {
+                let total_j = row.energy.total_j();
+                let energy_per_request_j = (num_requests > 0)
+                    .then(|| total_j * outcome.num_chips as f64 / num_requests as f64);
+                (design, DesignServingRow { total_j, energy_per_request_j, savings: row.savings })
+            })
+            .collect();
 
         // Whole-chip gateable share: union-idle windows long enough for
         // the conservative chip-level break-even time (twice the slowest
@@ -149,9 +138,6 @@ impl ServingReport {
             measured_duty_cycle: outcome.measured_duty_cycle(),
             whole_chip_idle_fraction,
             designs,
-            engine_counters: outcome.simulation.counters().clone(),
-            cache_counters: outcome.cache,
-            evaluation,
         }
     }
 
@@ -163,16 +149,6 @@ impl ServingReport {
     #[must_use]
     pub fn design(&self, design: Design) -> &DesignServingRow {
         self.designs.get(&design).expect("all designs are evaluated")
-    }
-
-    /// Latency percentiles converted to seconds on the evaluated chip.
-    #[must_use]
-    pub fn latency_seconds(&self) -> (f64, f64) {
-        let spec = self.evaluation.simulation.chip().spec();
-        (
-            spec.cycles_to_seconds(self.p50_latency_cycles),
-            spec.cycles_to_seconds(self.p99_latency_cycles),
-        )
     }
 }
 
@@ -230,6 +206,41 @@ mod tests {
         for design in Design::ALL {
             assert_eq!(report.design(design).energy_per_request_j, None);
             assert!(report.design(design).total_j >= 0.0);
+        }
+    }
+
+    #[test]
+    fn design_rows_match_the_evaluate_compiled_oracle_bit_for_bit() {
+        // The report prices the borrowed trace through the preset policy
+        // rows; the per-design `evaluate_compiled` path over a cloned
+        // simulation is the oracle those rows must reproduce exactly.
+        let simulator = ServingSimulator::new(
+            NpuGeneration::D,
+            1,
+            Workload::dlrm(DlrmSize::Small).with_batch(8),
+        );
+        let evaluator = Evaluator::new(NpuGeneration::D);
+        let arrivals = [0u64, 1_000, 350_000, 360_000, 2_900_000];
+        let outcome = simulator.run(&arrivals, &BatchPolicy::Static { batch: 2 });
+        let report = ServingReport::evaluate(&outcome, &evaluator);
+        // `work_items` does not enter energy or savings, so the
+        // per-request workload stands in for the whole trace.
+        let oracle = evaluator.evaluate_compiled(
+            &outcome.workload,
+            outcome.num_chips,
+            outcome.parallelism,
+            &outcome.compiled,
+            outcome.simulation.clone(),
+            1.0,
+        );
+        for design in Design::ALL {
+            let row = report.design(design);
+            assert_eq!(
+                row.total_j.to_bits(),
+                oracle.design(design).energy.total_j().to_bits(),
+                "{design}"
+            );
+            assert_eq!(row.savings.to_bits(), oracle.energy_savings(design).to_bits(), "{design}");
         }
     }
 

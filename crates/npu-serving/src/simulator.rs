@@ -26,10 +26,13 @@ use npu_arch::{ChipConfig, ComponentKind, NpuGeneration, ParallelismConfig};
 use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::{OperatorGraph, Workload};
 use npu_sim::analysis::{self, rules, AnalysisReport, Diagnostic, OpSpan};
-use npu_sim::{EngineScratch, PreparedSimulator, SimulationResult, Simulator, TraceRecorder};
+use npu_sim::{
+    EngineScratch, NullObserver, PreparedSimulator, SimObserver, SimulationResult, Simulator,
+    TraceRecorder,
+};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::BatchPolicy;
+use crate::batch::{BatchPolicy, FormedBatch};
 
 /// One request's observed serving lifecycle, in cycles on the trace clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,20 +144,6 @@ pub struct ServingOutcome {
 }
 
 impl ServingOutcome {
-    /// Total samples served over the trace.
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.workload.batch() * self.requests.len() as u64
-    }
-
-    /// The workload resized to the whole trace — what
-    /// [`regate::Evaluator::evaluate_compiled`] needs so `work_items`
-    /// describes every request served.
-    #[must_use]
-    pub fn total_workload(&self) -> Workload {
-        self.workload.with_batch(self.total_samples().max(1))
-    }
-
     /// Makespan of the scheduled trace in cycles.
     #[must_use]
     pub fn makespan_cycles(&self) -> u64 {
@@ -442,16 +431,7 @@ impl ServingSimulator {
     /// (the [`BatchPolicy::form`] contract).
     #[must_use]
     pub fn run(&self, arrivals: &[u64], policy: &BatchPolicy) -> ServingOutcome {
-        assert!(!arrivals.is_empty(), "an empty arrival trace serves nothing");
-        let formed = policy.form(arrivals);
-        let shape: Vec<usize> = formed.iter().map(crate::batch::FormedBatch::len).collect();
-        let trace = self.prepared_trace(&shape, arrivals.len());
-        let (op_releases, batches) = Self::release_plan(&formed, &trace);
-
-        let simulation = trace
-            .prepared
-            .run_with_scratch(&op_releases, &mut self.scratch.lock().expect("engine scratch"));
-        self.finish(arrivals, Arc::clone(&trace.compiled), &trace.positions, simulation, batches)
+        self.replay(arrivals, policy, |_| NullObserver).0
     }
 
     /// Like [`ServingSimulator::run`], but observes the replay with a
@@ -471,17 +451,45 @@ impl ServingSimulator {
         arrivals: &[u64],
         policy: &BatchPolicy,
     ) -> (ServingOutcome, TraceRecorder) {
+        let (outcome, mut recorder) =
+            self.replay(arrivals, policy, |prepared| TraceRecorder::for_set(&prepared.resources()));
+        for (index, batch) in outcome.batches.iter().enumerate() {
+            recorder.add_batch_flow(index, batch.dispatch_cycle, batch.completion_cycle);
+        }
+        (outcome, recorder)
+    }
+
+    /// The cached replay behind [`ServingSimulator::run`] and
+    /// [`ServingSimulator::run_traced`]: forms the batches, looks up the
+    /// prepared trace of their shape, and replays it under the batches'
+    /// dispatch cycles with the observer `observer` builds for it.
+    fn replay<O: SimObserver>(
+        &self,
+        arrivals: &[u64],
+        policy: &BatchPolicy,
+        observer: impl FnOnce(&PreparedSimulator) -> O,
+    ) -> (ServingOutcome, O) {
         assert!(!arrivals.is_empty(), "an empty arrival trace serves nothing");
         let formed = policy.form(arrivals);
-        let shape: Vec<usize> = formed.iter().map(crate::batch::FormedBatch::len).collect();
+        let shape: Vec<usize> = formed.iter().map(FormedBatch::len).collect();
         let trace = self.prepared_trace(&shape, arrivals.len());
-        let (op_releases, batches) = Self::release_plan(&formed, &trace);
+        let op_releases = Self::release_plan(&trace, formed.iter().map(|b| b.dispatch_cycle));
+        let batches = formed
+            .iter()
+            .zip(&trace.op_ranges)
+            .map(|(batch, range)| BatchRecord {
+                requests: batch.requests.clone(),
+                ops: range.clone(),
+                dispatch_cycle: batch.dispatch_cycle,
+                completion_cycle: 0,
+            })
+            .collect();
 
-        let mut recorder = TraceRecorder::for_set(&trace.prepared.resources());
+        let mut obs = observer(&trace.prepared);
         let simulation = trace.prepared.run_with_scratch_observed(
             &op_releases,
             &mut self.scratch.lock().expect("engine scratch"),
-            &mut recorder,
+            &mut obs,
         );
         let outcome = self.finish(
             arrivals,
@@ -490,33 +498,20 @@ impl ServingSimulator {
             simulation,
             batches,
         );
-        for (index, batch) in outcome.batches.iter().enumerate() {
-            recorder.add_batch_flow(index, batch.dispatch_cycle, batch.completion_cycle);
-        }
-        (outcome, recorder)
+        (outcome, obs)
     }
 
-    /// The release vector and batch records of one formed trace against
-    /// its prepared shape. A batch's operators all carry its dispatch
-    /// cycle: every request span shares the batch dispatch, and the
-    /// merge's release is the maximum over the spans — the same value.
-    fn release_plan(
-        formed: &[crate::batch::FormedBatch],
-        trace: &PreparedTrace,
-    ) -> (Vec<u64>, Vec<BatchRecord>) {
+    /// The release vector of a prepared trace given each batch's dispatch
+    /// cycle, in dispatch order. A batch's operators all carry its
+    /// dispatch cycle: every request span shares the batch dispatch, and
+    /// the merge's release is the maximum over the spans — the same value.
+    fn release_plan(trace: &PreparedTrace, dispatch_cycles: impl Iterator<Item = u64>) -> Vec<u64> {
         let mut op_releases: Vec<u64> = Vec::with_capacity(trace.positions.len());
-        let mut batches: Vec<BatchRecord> = Vec::with_capacity(formed.len());
-        for (batch, range) in formed.iter().zip(&trace.op_ranges) {
+        for (dispatch_cycle, range) in dispatch_cycles.zip(&trace.op_ranges) {
             debug_assert_eq!(op_releases.len(), range.start, "batch subgraphs are contiguous");
-            op_releases.resize(range.end, batch.dispatch_cycle);
-            batches.push(BatchRecord {
-                requests: batch.requests.clone(),
-                ops: range.clone(),
-                dispatch_cycle: batch.dispatch_cycle,
-                completion_cycle: 0,
-            });
+            op_releases.resize(range.end, dispatch_cycle);
         }
-        (op_releases, batches)
+        op_releases
     }
 
     /// Serves an arrival trace by lowering and compiling every batch from
@@ -641,10 +636,8 @@ impl ServingSimulator {
             return report;
         }
         let trace = self.prepared_trace(&shape, outcome.requests.len());
-        let mut op_releases: Vec<u64> = Vec::with_capacity(trace.positions.len());
-        for (batch, range) in outcome.batches.iter().zip(&trace.op_ranges) {
-            op_releases.resize(range.end, batch.dispatch_cycle);
-        }
+        let op_releases =
+            Self::release_plan(&trace, outcome.batches.iter().map(|b| b.dispatch_cycle));
         report.merge(trace.prepared.analyze(&op_releases, Some(outcome.makespan_cycles())));
         report
     }

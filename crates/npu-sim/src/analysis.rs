@@ -735,7 +735,7 @@ pub fn check_phase_graph(phases: &[OpPhases]) -> Vec<Diagnostic> {
 }
 
 /// Computes the static makespan window of a phase vector under a release
-/// vector (`releases` empty = use each phase's embedded release cycle).
+/// vector (`releases` empty = every operator released at cycle 0).
 ///
 /// Requires a structurally sound phase vector — run [`check_phase_graph`]
 /// first; producer indices `>= k` are ignored here rather than trusted.
@@ -759,13 +759,7 @@ pub fn makespan_window_for(
     set: &ResourceSet,
 ) -> MakespanWindow {
     let n = phases.len();
-    let release = |k: usize| -> u64 {
-        if releases.is_empty() {
-            phases[k].release_cycle
-        } else {
-            releases.get(k).copied().unwrap_or(0)
-        }
-    };
+    let release = |k: usize| releases.get(k).copied().unwrap_or(0);
 
     // Critical path with release clamping: finish[k] is a lower bound on
     // operator k's completion in ANY schedule the engine can produce —
@@ -1609,7 +1603,6 @@ mod tests {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 1,
                 sa_active_cycles: 0,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             };

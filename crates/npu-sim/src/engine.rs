@@ -135,12 +135,13 @@ impl Simulator {
         // dominated the whole simulation on big graphs).
         let live_profile = allocation.live_bytes_profile();
 
-        let anchor_producers = graph.anchor_producers();
         let num_anchors = graph.num_anchors();
         let mut phases = Vec::with_capacity(num_anchors);
         let mut timings = Vec::with_capacity(num_anchors);
         let mut anchor_ids = Vec::with_capacity(num_anchors);
-        for (anchor_index, op) in graph.anchors().enumerate() {
+        for ((anchor_index, op), producers) in
+            graph.anchors().enumerate().zip(graph.anchor_producers())
+        {
             let mut profile = self.profile_operator(op);
             profile.timing.op_index = anchor_index;
             profile.timing.sram_live_bytes = live_profile[anchor_index];
@@ -153,7 +154,7 @@ impl Simulator {
                 profile.timing.sram_live_bytes,
                 spec.sram_bytes()
             );
-            profile.phases.producers = anchor_producers[anchor_index].clone();
+            profile.phases.producers = producers;
             anchor_ids.push(op.op.id);
             phases.push(profile.phases);
             timings.push(profile.timing);
@@ -164,7 +165,6 @@ impl Simulator {
             chip: self.chip.clone(),
             engine: TimelineEngine::new(phases),
             timings,
-            anchor_producers,
             fold_anchor,
             anchor_ids,
             lifetimes: allocation.segment_lifetimes(),
@@ -291,7 +291,6 @@ impl Simulator {
             fused_vu_cycles: fused_vu,
             dispatch_cycles: DISPATCH_OVERHEAD_CYCLES,
             sa_active_cycles: sa_active,
-            release_cycle: 0,
             producers: Vec::new(),
             collective: None,
         };
@@ -334,7 +333,6 @@ pub struct PreparedSimulator {
     /// Timing templates: everything but the schedule-dependent
     /// start/duration fields, filled per replay.
     timings: Vec<OpTiming>,
-    anchor_producers: Vec<Vec<usize>>,
     /// Op id → op id of its fusion-group anchor (identity when unfused).
     fold_anchor: Vec<usize>,
     /// Anchor index → op id.
@@ -506,7 +504,6 @@ impl PreparedSimulator {
         SimulationResult {
             chip: self.chip.clone(),
             timings,
-            anchor_producers: self.anchor_producers.clone(),
             releases,
             activity,
             timeline,
@@ -522,8 +519,6 @@ impl PreparedSimulator {
 pub struct SimulationResult {
     chip: ChipConfig,
     timings: Vec<OpTiming>,
-    /// `anchor_producers[k]`: anchor indices operator `k` waited on.
-    anchor_producers: Vec<Vec<usize>>,
     /// `releases[k]`: earliest cycle anchor `k` was allowed to issue (all
     /// zeros for a cycle-0 batch run).
     releases: Vec<u64>,
@@ -556,13 +551,6 @@ impl SimulationResult {
     #[must_use]
     pub fn last_timing_with_prefix(&self, prefix: &str) -> Option<&OpTiming> {
         self.timings.iter().rfind(|t| t.name.starts_with(prefix))
-    }
-
-    /// Anchor indices whose completion operator `index` waited on — the
-    /// dependency DAG the schedule honoured (empty for sources).
-    #[must_use]
-    pub fn producers_of(&self, index: usize) -> &[usize] {
-        self.anchor_producers.get(index).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Release cycle the schedule honoured for anchor `index` (0 unless
@@ -691,13 +679,18 @@ mod tests {
     use npu_compiler::Compiler;
     use npu_models::{DiffusionModel, DlrmSize, EvalConfig, LlamaModel, LlmPhase, Workload};
 
-    fn simulate(workload: Workload, chips: usize) -> SimulationResult {
+    fn compile(workload: Workload, chips: usize) -> (ChipConfig, CompiledGraph) {
         let chip = ChipConfig::new(NpuGeneration::D, chips);
         let parallelism = workload
             .default_parallelism(chip.spec(), chips)
             .unwrap_or(ParallelismConfig::new(chips, 1, 1));
         let graph = workload.build_graph(&parallelism);
         let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
+        (chip, compiled)
+    }
+
+    fn simulate(workload: Workload, chips: usize) -> SimulationResult {
+        let (chip, compiled) = compile(workload, chips);
         Simulator::new(chip).run(&compiled)
     }
 
@@ -839,18 +832,22 @@ mod tests {
 
     // ---- Timeline-engine invariants (event-driven issue, overlap) ----
 
+    /// One Table-4 run: label, the compiled graph's anchor-level producer
+    /// lists (the DAG the schedule honoured), and the simulation.
+    type Table4Run = (String, Vec<Vec<usize>>, SimulationResult);
+
     /// Every Table-4 workload, at a modest chip count so the net stays
     /// fast, with its default batch. Simulated once and shared by all the
     /// invariant tests below.
-    fn table4_simulations() -> &'static [(String, SimulationResult)] {
-        static SIMS: std::sync::OnceLock<Vec<(String, SimulationResult)>> =
-            std::sync::OnceLock::new();
+    fn table4_simulations() -> &'static [Table4Run] {
+        static SIMS: std::sync::OnceLock<Vec<Table4Run>> = std::sync::OnceLock::new();
         SIMS.get_or_init(|| {
             EvalConfig::all()
                 .into_iter()
                 .map(|config| {
-                    let chips = config.num_chips.min(8);
-                    (config.workload.label(), simulate(config.workload, chips))
+                    let (chip, compiled) = compile(config.workload, config.num_chips.min(8));
+                    let result = Simulator::new(chip).run(&compiled);
+                    (config.workload.label(), compiled.anchor_producers(), result)
                 })
                 .collect()
         })
@@ -858,10 +855,10 @@ mod tests {
 
     #[test]
     fn overlap_never_starts_an_op_before_its_producer_finishes() {
-        for (label, result) in table4_simulations() {
+        for (label, producers, result) in table4_simulations() {
             let timings = result.timings();
-            for (index, timing) in timings.iter().enumerate() {
-                for &p in result.producers_of(index) {
+            for (timing, producers) in timings.iter().zip(producers) {
+                for &p in producers {
                     let producer = &timings[p];
                     let producer_finish = producer.start_cycle + producer.duration_cycles;
                     assert!(
@@ -886,17 +883,18 @@ mod tests {
         // silently drops edges turns most operators into sources and
         // over-overlaps the schedule, so bound the source fraction, not
         // just its existence.
-        for (label, result) in table4_simulations() {
+        for (label, producers, result) in table4_simulations() {
             let n = result.timings().len();
-            let sources = (0..n).filter(|&k| result.producers_of(k).is_empty()).count();
+            assert_eq!(producers.len(), n, "{label}: one producer list per anchor");
+            let sources = producers.iter().filter(|p| p.is_empty()).count();
             assert!(sources >= 1, "{label}: no sources");
             assert!(
                 sources * 2 <= n.max(2),
                 "{label}: {sources}/{n} operators are sources — dependency edges were lost"
             );
             // Every non-source producer index must reference an earlier op.
-            for k in 0..n {
-                for &p in result.producers_of(k) {
+            for (k, producers) in producers.iter().enumerate() {
+                for &p in producers {
                     assert!(p < k, "{label}: op {k} lists non-preceding producer {p}");
                 }
             }
@@ -905,7 +903,7 @@ mod tests {
 
     #[test]
     fn busy_intervals_are_disjoint_sorted_and_bounded() {
-        for (label, result) in table4_simulations() {
+        for (label, _, result) in table4_simulations() {
             let total = result.total_cycles();
             for kind in ComponentKind::ALL {
                 let intervals = result.busy_timeline().intervals(kind);
@@ -926,7 +924,7 @@ mod tests {
     #[test]
     fn overlapped_total_never_exceeds_the_serial_sum() {
         let mut any_strictly_better = false;
-        for (label, result) in table4_simulations() {
+        for (label, _, result) in table4_simulations() {
             assert!(
                 result.total_cycles() <= result.serial_cycles(),
                 "{label}: makespan {} exceeds serial sum {}",
@@ -1132,7 +1130,7 @@ mod tests {
 
     #[test]
     fn idle_histogram_matches_activity_idle_cycles() {
-        for (label, result) in table4_simulations() {
+        for (label, _, result) in table4_simulations() {
             let histogram = result.idle_histogram();
             for kind in ComponentKind::ALL {
                 assert_eq!(

@@ -92,7 +92,6 @@ impl PodBuilder {
             fused_vu_cycles: 0,
             dispatch_cycles: DISPATCH_OVERHEAD_CYCLES,
             sa_active_cycles: sa_active,
-            release_cycle: 0,
             producers,
             collective: None,
         })
@@ -111,7 +110,6 @@ impl PodBuilder {
             fused_vu_cycles: 0,
             dispatch_cycles: DISPATCH_OVERHEAD_CYCLES,
             sa_active_cycles: 0,
-            release_cycle: 0,
             producers,
             collective: Some(Box::new(schedule)),
         })

@@ -607,14 +607,6 @@ pub struct OpPhases {
     pub dispatch_cycles: u64,
     /// Cycles within the main phase the systolic arrays actually compute.
     pub sa_active_cycles: u64,
-    /// Earliest cycle at which *any* phase of the operator may issue — the
-    /// arrival/dispatch time of the request the operator belongs to.
-    /// Before this cycle the operator's inputs do not exist, so neither
-    /// the DMA prefetch nor the main phase may start; the gap a late
-    /// release opens on every resource becomes an ordinary idle interval
-    /// that the gating model prices like any other. `0` (every batch
-    /// ready at the start, the pre-serving behaviour) is the identity.
-    pub release_cycle: u64,
     /// Per-hop link occupation of a lowered collective. `None` (every
     /// single-chip operator, and analytic collectives) issues the main
     /// phase on `unit` alone; `Some` gang-issues the whole link set for
@@ -796,10 +788,13 @@ pub struct EngineScratch {
 ///   lead portion of its own DMA, and for its execution unit. It does
 ///   *not* wait for unrelated phases of other operators, and never for
 ///   successors' prefetches.
-/// * **Release times**: no phase of an operator issues before its
-///   [`OpPhases::release_cycle`] — the arrival/dispatch time of the
-///   request the operator serves. Queueing delay and inter-request gaps
-///   therefore appear on every resource track as real idle intervals.
+/// * **Release times**: no phase of an operator issues before its release
+///   cycle (the `releases` argument of
+///   [`TimelineEngine::run_with_scratch`]) — the arrival/dispatch time of
+///   the request the operator serves. Before it the operator's inputs do
+///   not exist, so queueing delay and inter-request gaps appear on every
+///   resource track as real idle intervals the gating model prices like
+///   any other.
 /// * The operator **finishes** when both its DMA stream and its main phase
 ///   (including fused vector post-processing) are complete.
 #[derive(Debug)]
@@ -819,8 +814,8 @@ pub struct TimelineEngine {
 }
 
 /// Mutable state of one engine run, borrowed against the immutable
-/// topology. `releases` (one entry per operator; empty = use the phases'
-/// embedded release cycles) lets a prepared engine serve many release
+/// topology. `releases` (one entry per operator; empty = every operator
+/// released at cycle 0) lets a prepared engine serve many release
 /// vectors.
 struct EngineRun<'a> {
     topo: &'a TimelineEngine,
@@ -967,9 +962,8 @@ impl TimelineEngine {
     /// Runs the event loop against reusable scratch buffers, optionally
     /// overriding every operator's release cycle. The engine is untouched
     /// and may be run again — the compile-once/run-many path of the
-    /// serving layer. An empty `releases` uses the phases' embedded
-    /// [`OpPhases::release_cycle`] values (identical to
-    /// [`TimelineEngine::run`]).
+    /// serving layer. An empty `releases` releases every operator at
+    /// cycle 0 (identical to [`TimelineEngine::run`]).
     ///
     /// # Panics
     ///
@@ -1108,11 +1102,7 @@ impl TimelineEngine {
 
 impl EngineRun<'_> {
     fn release_of(&self, op: usize) -> u64 {
-        if self.releases.is_empty() {
-            self.topo.phases[op].release_cycle
-        } else {
-            self.releases[op]
-        }
+        self.releases.get(op).copied().unwrap_or(0)
     }
 
     fn resource_free(&self, r: ResourceId) -> u64 {
@@ -1326,7 +1316,6 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: main,
-            release_cycle: 0,
             producers: Vec::new(),
             collective: None,
         }
@@ -1464,7 +1453,6 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            release_cycle: 0,
             producers: Vec::new(),
             collective: None,
         }
@@ -1584,7 +1572,6 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            release_cycle: 0,
             producers: Vec::new(),
             collective: None,
         };
@@ -1607,9 +1594,8 @@ mod tests {
         // Two independent requests: the second is released at cycle 50,000,
         // long after the first finishes. Neither its prefetch nor its main
         // phase may start earlier, and the gap must surface as SA idle time.
-        let mut late = sa_op(1000, 400);
-        late.release_cycle = 50_000;
-        let schedule = TimelineEngine::new(vec![sa_op(1000, 400), late]).run();
+        let schedule = TimelineEngine::new(vec![sa_op(1000, 400), sa_op(1000, 400)])
+            .run_with_scratch(&[0, 50_000], &mut EngineScratch::default());
         let [a, b] = [schedule.ops[0], schedule.ops[1]];
         assert!(a.finish < 50_000, "the first request finishes well before the release");
         assert!(b.dma_start >= 50_000, "prefetch ran before the request arrived");
@@ -1629,12 +1615,11 @@ mod tests {
         // the release clamp only ever *delays* issue, it never reorders a
         // schedule that already satisfies it.
         let ops = OpPhases::chain(vec![sa_op(300, 500), sa_op(40, 700), sa_op(900, 100)]);
-        let base = TimelineEngine::new(ops.clone()).run();
-        let mut released = ops;
-        for (p, s) in released.iter_mut().zip(base.ops.iter()) {
-            p.release_cycle = s.span_start();
-        }
-        let with_releases = TimelineEngine::new(released).run();
+        let engine = TimelineEngine::new(ops);
+        let mut scratch = EngineScratch::default();
+        let base = engine.run_with_scratch(&[], &mut scratch);
+        let releases: Vec<u64> = base.ops.iter().map(|s| s.span_start()).collect();
+        let with_releases = engine.run_with_scratch(&releases, &mut scratch);
         assert_eq!(base.ops, with_releases.ops);
         assert_eq!(base.makespan, with_releases.makespan);
         assert_eq!(base.timeline, with_releases.timeline);
@@ -1644,9 +1629,9 @@ mod tests {
     fn release_later_than_producer_finish_delays_the_consumer() {
         // Chain 0 -> 1, but op 1's request only arrives at 10,000 even
         // though op 0 finishes much earlier.
-        let mut ops = OpPhases::chain(vec![sa_op(100, 0), sa_op(100, 0)]);
-        ops[1].release_cycle = 10_000;
-        let schedule = TimelineEngine::new(ops).run();
+        let ops = OpPhases::chain(vec![sa_op(100, 0), sa_op(100, 0)]);
+        let schedule =
+            TimelineEngine::new(ops).run_with_scratch(&[0, 10_000], &mut EngineScratch::default());
         assert!(schedule.ops[0].finish < 1000);
         assert_eq!(schedule.ops[1].main_start, 10_000);
     }
@@ -1688,7 +1673,6 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            release_cycle: 0,
             producers: Vec::new(),
             collective: None,
         }];
@@ -1759,7 +1743,6 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            release_cycle: 0,
             producers: Vec::new(),
             collective: Some(Box::new(CollectiveSchedule {
                 links: links.clone(),
@@ -1795,7 +1778,6 @@ mod tests {
             fused_vu_cycles: 0,
             dispatch_cycles: 10,
             sa_active_cycles: 0,
-            release_cycle: 0,
             producers: Vec::new(),
             collective: None,
         };

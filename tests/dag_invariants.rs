@@ -56,7 +56,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: fused,
                 dispatch_cycles: 100,
                 sa_active_cycles: active,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             }
@@ -72,7 +71,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 100,
                 sa_active_cycles: 0,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             }
@@ -87,7 +85,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 100,
                 sa_active_cycles: 0,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             }
@@ -102,7 +99,6 @@ fn random_phases(rng: &mut Rng) -> OpPhases {
                 fused_vu_cycles: 0,
                 dispatch_cycles: 100,
                 sa_active_cycles: 0,
-                release_cycle: 0,
                 producers: Vec::new(),
                 collective: None,
             }

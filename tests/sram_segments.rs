@@ -60,7 +60,6 @@ fn random_dag(rng: &mut Rng, n: usize) -> Vec<OpPhases> {
             fused_vu_cycles: 0,
             dispatch_cycles: 100,
             sa_active_cycles: if unit == Resource::Sa { main } else { 0 },
-            release_cycle: 0,
             producers,
             collective: None,
         });
@@ -266,7 +265,6 @@ fn source(unit: Resource, main: u64) -> OpPhases {
         fused_vu_cycles: 0,
         dispatch_cycles: 100,
         sa_active_cycles: if unit == Resource::Sa { main } else { 0 },
-        release_cycle: 0,
         producers: Vec::new(),
         collective: None,
     }
