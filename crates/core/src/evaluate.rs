@@ -15,6 +15,7 @@
 //! times the equivalent cycles; dynamic energy is identical across designs
 //! (the same work is performed).
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -24,7 +25,7 @@ use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::{ExecutionUnit, Workload};
 use npu_power::energy::ChipUsage;
 use npu_power::{CarbonModel, EnergyBreakdown, GatingParams, PowerModel};
-use npu_sim::{AnalysisReport, Diagnostic, OpTiming, SimulationResult, Simulator};
+use npu_sim::{AnalysisReport, BusyTimeline, Diagnostic, SimulationResult, Simulator};
 
 use crate::designs::Design;
 use crate::pe_gating::SaGatingPlan;
@@ -327,12 +328,10 @@ impl Evaluator {
         let usage = Self::chip_usage(compiled, &simulation);
         let baseline = EnergyBreakdown::no_power_gating_with_duty(&model, &usage, duty_cycle);
 
+        let facts = self.trace_facts(compiled, &simulation, &model);
         let mut designs = BTreeMap::new();
         for design in Design::ALL {
-            designs.insert(
-                design,
-                self.evaluate_design(design, compiled, &simulation, &model, &baseline),
-            );
+            designs.insert(design, self.evaluate_design(design, &facts, &model, &baseline));
         }
         WorkloadEvaluation {
             workload: *workload,
@@ -379,20 +378,18 @@ impl Evaluator {
         let usage = Self::chip_usage(compiled, simulation);
         let baseline = EnergyBreakdown::no_power_gating_with_duty(&model, &usage, duty_cycle);
         let baseline_total_j = baseline.total_j();
+        let facts = self.trace_facts(compiled, simulation, &model);
         let rows = kinds
             .iter()
             .map(|&kind| {
                 let (energy, performance_overhead, peak_power_w) = match kind {
                     PolicyKind::Preset(design) => {
-                        let row =
-                            self.evaluate_design(design, compiled, simulation, &model, &baseline);
+                        let row = self.evaluate_design(design, &facts, &model, &baseline);
                         (row.energy, row.performance_overhead, row.peak_power_w)
                     }
                     _ => {
                         let config = kind.config(&self.gating, chip.spec());
-                        self.evaluate_policy_config(
-                            &config, compiled, simulation, &model, &baseline,
-                        )
+                        self.evaluate_policy_config(&config, &facts, &model, &baseline)
                     }
                 };
                 let savings = if baseline_total_j == 0.0 {
@@ -439,29 +436,113 @@ impl Evaluator {
         }
     }
 
+    /// Gathers the policy-independent pricing input of one trace: one
+    /// pass over the simulation that every policy row then only walks.
+    fn trace_facts<'a>(
+        &self,
+        compiled: &CompiledGraph,
+        sim: &'a SimulationResult,
+        model: &PowerModel,
+    ) -> TraceFacts<'a> {
+        let timeline = sim.busy_timeline();
+        let total_cycles = sim.total_cycles();
+        let busy = TRACKED.map(|kind| timeline.busy_cycles(kind));
+        let idle = TRACKED
+            .map(|kind| IdleLens::of(&timeline.idle_intervals(kind, total_cycles), total_cycles));
+
+        // Active-period SA cycles under every mode, summed in anchor order.
+        let spec = model.spec();
+        let leak = self.gating.leakage.logic_off;
+        let mut sa_active = SaActiveSums::default();
+        for (op, timing) in compiled.anchors().zip(sim.timings()) {
+            let active = timing.sa_active_cycles as f64;
+            if active == 0.0 {
+                continue;
+            }
+            // Component-level gating cannot exploit spatial
+            // underutilization: the whole array burns full static power
+            // while any PE computes.
+            sa_active.full_power += active;
+            // PE-level gating: rows/columns holding padded zero weights
+            // are off, and the diagonal wavefront keeps PEs in W_on
+            // outside the input wave.
+            let (m, k, n) = op.op.matmul_dims().unwrap_or((1, 1, 1));
+            let plan = SaGatingPlan::from_matmul_dims(spec.sa_width, k as usize, n as usize);
+            let tile_m = m.min(spec.sa_width as u64 * 32);
+            let gated_frac = plan.gated_pe_cycle_fraction(tile_m, W_ON_RESIDUAL);
+            sa_active.spatial += active * ((1.0 - gated_frac) + gated_frac * leak);
+            sa_active.utilization += active * timing.sa_spatial_utilization;
+        }
+
+        let segments = sim.segment_timeline();
+        let sram_bands = segments
+            .bands()
+            .iter()
+            .map(|band| SramBand {
+                live_cycles: band.live_cycles(),
+                num_segments: band.num_segments,
+                dead_lens: segments
+                    .dead_intervals_of(band)
+                    .iter()
+                    .map(npu_sim::CycleInterval::len)
+                    .collect(),
+            })
+            .collect();
+
+        // The most power-hungry operator's dynamic power; every row adds
+        // its own static power to it.
+        let max_dynamic_w = sim
+            .timings()
+            .iter()
+            .filter_map(|t| {
+                let secs = t.duration_seconds(spec.frequency_hz());
+                if secs <= 0.0 {
+                    return None;
+                }
+                let dynamic_j = model.sa_energy_per_flop() * t.flops
+                    + model.hbm_energy_per_byte() * t.hbm_bytes as f64
+                    + model.ici_energy_per_byte() * t.ici_bytes as f64
+                    + model.sram_energy_per_byte() * 3.0 * t.hbm_bytes as f64
+                    + model.other_dynamic_power_w() * secs;
+                Some(dynamic_j / secs)
+            })
+            .reduce(f64::max);
+
+        TraceFacts {
+            timeline,
+            total_cycles,
+            busy,
+            idle,
+            union: OnceCell::new(),
+            sa_active,
+            sram_bands,
+            sram_segments: segments.num_segments(),
+            sram_ever_live: segments.ever_live_segments(),
+            max_dynamic_w,
+        }
+    }
+
     /// Evaluates one design point by expanding it into its preset
-    /// [`PolicyConfig`] and walking the simulation's real per-component
-    /// idle intervals against the configured policies.
+    /// [`PolicyConfig`] and walking the trace's real per-component idle
+    /// intervals against the configured policies.
     fn evaluate_design(
         &self,
         design: Design,
-        compiled: &CompiledGraph,
-        sim: &SimulationResult,
+        facts: &TraceFacts<'_>,
         model: &PowerModel,
         baseline: &EnergyBreakdown,
     ) -> DesignEvaluation {
         if design == Design::NoPg {
-            let peak_power_w = self.peak_power(model, sim.timings(), baseline, sim.total_cycles());
             return DesignEvaluation {
                 design,
                 energy: baseline.clone(),
                 performance_overhead: 0.0,
-                peak_power_w,
+                peak_power_w: Self::peak_power(model, facts, baseline),
             };
         }
         let config = PolicyKind::Preset(design).config(&self.gating, model.spec());
         let (energy, performance_overhead, peak_power_w) =
-            self.evaluate_policy_config(&config, compiled, sim, model, baseline);
+            self.evaluate_policy_config(&config, facts, model, baseline);
         DesignEvaluation { design, energy, performance_overhead, peak_power_w }
     }
 
@@ -477,17 +558,12 @@ impl Evaluator {
     fn evaluate_policy_config(
         &self,
         config: &PolicyConfig,
-        compiled: &CompiledGraph,
-        sim: &SimulationResult,
+        facts: &TraceFacts<'_>,
         model: &PowerModel,
         baseline: &EnergyBreakdown,
     ) -> (EnergyBreakdown, f64, f64) {
-        let spec = model.spec();
-        let cycle_s = spec.cycle_seconds();
-        let timeline = sim.busy_timeline();
-        let total_cycles = sim.total_cycles();
-        let anchors: Vec<_> = compiled.anchors().collect();
-        let timings = sim.timings();
+        let cycle_s = model.spec().cycle_seconds();
+        let total_cycles = facts.total_cycles;
 
         // Equivalent full-power cycles per component: busy time at its
         // policy-specific rate, plus the component's *real* idle intervals
@@ -496,50 +572,29 @@ impl Evaluator {
         let mut equivalent: BTreeMap<ComponentKind, f64> = BTreeMap::new();
         let mut overhead_cycles: f64 = 0.0;
 
-        // Interval lengths per component: all of them (for the energy
-        // walk), and the subset followed by more work — a trailing
-        // interval, including the single `[0, makespan)` interval of a
-        // component the workload never touches, ends the execution and
-        // never pays a wake-up.
-        let idle_lens = |kind: ComponentKind| -> (Vec<u64>, Vec<u64>) {
-            let gaps = timeline.idle_intervals(kind, total_cycles);
-            let all = gaps.iter().map(npu_sim::CycleInterval::len).collect();
-            let waking =
-                gaps.iter().filter(|iv| iv.end < total_cycles).map(|iv| iv.len()).collect();
-            (all, waking)
-        };
-
         // --- Systolic arrays: spatially gated while active (per-operator
         //     shapes), policy-walked while idle. ---
-        let mut sa_busy_eq = 0.0f64;
-        for (op, timing) in anchors.iter().zip(timings.iter()) {
-            sa_busy_eq += self.sa_active_equivalent_cycles(config.sa_active, op, timing);
-        }
-        let (sa_lens, sa_waking) = idle_lens(ComponentKind::Sa);
-        let sa_idle = config.sa_idle.walk_intervals(&sa_lens, &sa_waking);
-        equivalent.insert(ComponentKind::Sa, sa_busy_eq + sa_idle.equivalent_cycles);
+        let (_, sa) = facts.track(ComponentKind::Sa);
+        let sa_idle = config.sa_idle.walk_intervals(&sa.all, sa.waking());
+        equivalent.insert(
+            ComponentKind::Sa,
+            facts.sa_active.of(config.sa_active) + sa_idle.equivalent_cycles,
+        );
         overhead_cycles += sa_idle.wake_stall_cycles;
 
-        // --- Vector units: full power while computing, policy-walked
-        //     while idle. ---
-        let vu_busy = timeline.busy_cycles(ComponentKind::Vu) as f64;
-        let (vu_lens, vu_waking) = idle_lens(ComponentKind::Vu);
-        let vu_walk = config.vu.walk_intervals(&vu_lens, &vu_waking);
-        equivalent.insert(ComponentKind::Vu, vu_busy + vu_walk.equivalent_cycles);
-        overhead_cycles += vu_walk.wake_stall_cycles;
-
-        // --- HBM / ICI controllers and the DMA engine. The DMA engine
+        // --- Vector units, HBM / ICI controllers and the DMA engine: full
+        //     power while busy, policy-walked while idle. The DMA engine
         //     keeps the memory interface's gating timing (it wakes with
         //     the HBM path it feeds), as in the pre-timeline model. ---
         for (kind, policy) in [
+            (ComponentKind::Vu, &config.vu),
             (ComponentKind::Hbm, &config.hbm),
             (ComponentKind::Ici, &config.ici),
             (ComponentKind::Dma, &config.dma),
         ] {
-            let busy = timeline.busy_cycles(kind) as f64;
-            let (lens, waking) = idle_lens(kind);
-            let walk = policy.walk_intervals(&lens, &waking);
-            equivalent.insert(kind, busy + walk.equivalent_cycles);
+            let (busy, idle) = facts.track(kind);
+            let walk = policy.walk_intervals(&idle.all, idle.waking());
+            equivalent.insert(kind, busy as f64 + walk.equivalent_cycles);
             overhead_cycles += walk.wake_stall_cycles;
         }
 
@@ -554,7 +609,7 @@ impl Evaluator {
         //     Retention wake-ups are not charged to the critical path:
         //     the drowsy wake is a few cycles hidden under the access
         //     pipeline, and `setpm on` is issued ahead of the next use.
-        equivalent.insert(ComponentKind::Sram, self.sram_equivalent_cycles(&config.sram, sim));
+        equivalent.insert(ComponentKind::Sram, Self::sram_equivalent_cycles(&config.sram, facts));
 
         // --- Peripheral logic: per-component gating can never touch it,
         //     but a chip-level policy walks the *whole-chip* idle
@@ -564,21 +619,9 @@ impl Evaluator {
         let other_eq = match &config.whole_chip {
             None => total_cycles as f64,
             Some(policy) => {
-                let gaps = timeline.union_idle_intervals(
-                    &[
-                        ComponentKind::Sa,
-                        ComponentKind::Vu,
-                        ComponentKind::Hbm,
-                        ComponentKind::Ici,
-                        ComponentKind::Dma,
-                    ],
-                    total_cycles,
-                );
-                let all: Vec<u64> = gaps.iter().map(npu_sim::CycleInterval::len).collect();
-                let waking: Vec<u64> =
-                    gaps.iter().filter(|iv| iv.end < total_cycles).map(|iv| iv.len()).collect();
-                let union_idle: u64 = all.iter().sum();
-                let walk = policy.walk_intervals(&all, &waking);
+                let union = facts.union();
+                let union_idle: u64 = union.all.iter().sum();
+                let walk = policy.walk_intervals(&union.all, union.waking());
                 overhead_cycles += walk.wake_stall_cycles;
                 (total_cycles - union_idle) as f64 + walk.equivalent_cycles
             }
@@ -607,7 +650,7 @@ impl Evaluator {
             idle_static_j,
         );
 
-        let peak_power_w = self.peak_power(model, timings, &energy, total_cycles);
+        let peak_power_w = Self::peak_power(model, facts, &energy);
         (energy, performance_overhead, peak_power_w)
     }
 
@@ -617,10 +660,9 @@ impl Evaluator {
     /// policy. Segments never touched by any buffer share one dead
     /// interval spanning the whole execution, so their cost is computed
     /// once and weighted by their count.
-    fn sram_equivalent_cycles(&self, policy: &SramPolicy, sim: &SimulationResult) -> f64 {
-        let segments = sim.segment_timeline();
-        let total_segments = segments.num_segments();
-        let total_cycles = sim.total_cycles();
+    fn sram_equivalent_cycles(policy: &SramPolicy, facts: &TraceFacts<'_>) -> f64 {
+        let total_segments = facts.sram_segments;
+        let total_cycles = facts.total_cycles;
         if total_segments == 0 || total_cycles == 0 {
             return total_cycles as f64;
         }
@@ -633,13 +675,11 @@ impl Evaluator {
         let dead_equivalent =
             |lens: &[u64]| -> f64 { walk.walk_intervals(lens, &[]).equivalent_cycles };
         let mut eq_sum = 0.0f64;
-        for band in segments.bands() {
-            let dead = segments.dead_intervals_of(band);
-            let lens: Vec<u64> = dead.iter().map(npu_sim::CycleInterval::len).collect();
-            let per_segment = band.live_cycles() as f64 + dead_equivalent(&lens);
+        for band in &facts.sram_bands {
+            let per_segment = band.live_cycles as f64 + dead_equivalent(&band.dead_lens);
             eq_sum += per_segment * band.num_segments as f64;
         }
-        let never_live = (total_segments - segments.ever_live_segments()) as f64;
+        let never_live = (total_segments - facts.sram_ever_live) as f64;
         if never_live > 0.0 {
             eq_sum += dead_equivalent(&[total_cycles]) * never_live;
         }
@@ -666,77 +706,129 @@ impl Evaluator {
             .sum()
     }
 
-    /// Equivalent full-power SA cycles of one operator's *active* period
-    /// under an active-period mode (spatial PE gating; the idle periods
-    /// between active bursts are walked separately on the timeline).
-    fn sa_active_equivalent_cycles(
-        &self,
-        mode: SaActiveMode,
-        op: &npu_compiler::CompiledOp,
-        timing: &OpTiming,
-    ) -> f64 {
-        let active = timing.sa_active_cycles as f64;
-        if active == 0.0 {
-            return 0.0;
-        }
-        let leak = self.gating.leakage.logic_off;
-        match mode {
-            SaActiveMode::FullPower => {
-                // Component-level gating cannot exploit spatial
-                // underutilization: the whole array burns full static power
-                // while any PE computes.
-                active
-            }
-            SaActiveMode::Spatial => {
-                // PE-level gating: rows/columns holding padded zero
-                // weights are off, and the diagonal wavefront keeps PEs
-                // in W_on outside the input wave.
-                let (m, k, n) = op.op.matmul_dims().unwrap_or((1, 1, 1));
-                let spec = npu_arch::NpuSpec::generation(self.generation);
-                let plan = SaGatingPlan::from_matmul_dims(spec.sa_width, k as usize, n as usize);
-                let tile_m = m.min(spec.sa_width as u64 * 32);
-                let gated_frac = plan.gated_pe_cycle_fraction(tile_m, W_ON_RESIDUAL);
-                active * ((1.0 - gated_frac) + gated_frac * leak)
-            }
-            SaActiveMode::Utilization => active * timing.sa_spatial_utilization,
-        }
-    }
-
     /// Peak per-chip power: the average power of the most power-hungry
     /// operator under the design's static-power scaling.
-    fn peak_power(
-        &self,
-        model: &PowerModel,
-        timings: &[OpTiming],
-        energy: &EnergyBreakdown,
-        total_cycles: u64,
-    ) -> f64 {
+    ///
+    /// Adding the static power to the largest per-operator dynamic power
+    /// and then capping equals the per-operator maximum of the capped sums
+    /// bit for bit: IEEE addition and `min` are both monotone.
+    fn peak_power(model: &PowerModel, facts: &TraceFacts<'_>, energy: &EnergyBreakdown) -> f64 {
         let spec = model.spec();
+        let cap = spec.tdp_watts * 1.2;
         // Static power scales with the design's overall static reduction.
-        let nopg_static_w = model.total_static_power_w();
-        let design_static_w = if total_cycles == 0 {
-            nopg_static_w
+        let design_static_w = if facts.total_cycles == 0 {
+            model.total_static_power_w()
         } else {
-            energy.static_j() / (total_cycles as f64 * spec.cycle_seconds())
+            energy.static_j() / (facts.total_cycles as f64 * spec.cycle_seconds())
         };
-        let mut peak = 0.0f64;
-        for t in timings {
-            let secs = t.duration_seconds(spec.frequency_hz());
-            if secs <= 0.0 {
-                continue;
-            }
-            let dynamic_j = model.sa_energy_per_flop() * t.flops
-                + model.hbm_energy_per_byte() * t.hbm_bytes as f64
-                + model.ici_energy_per_byte() * t.ici_bytes as f64
-                + model.sram_energy_per_byte() * 3.0 * t.hbm_bytes as f64
-                + model.other_dynamic_power_w() * secs;
-            let power = dynamic_j / secs + design_static_w;
-            peak = peak.max(power.min(spec.tdp_watts * 1.2));
-        }
+        let peak =
+            facts.max_dynamic_w.map_or(0.0, |dynamic_w| (dynamic_w + design_static_w).min(cap));
         // Operator spans on the global clock include scheduling stalls,
         // which can dilute every per-operator average below the whole-run
         // average; the peak can never physically undercut it.
-        peak.max(energy.average_power_w().min(spec.tdp_watts * 1.2))
+        peak.max(energy.average_power_w().min(cap))
+    }
+}
+
+/// The components whose idle intervals every policy walks, and whose
+/// union is the whole-chip idle track.
+const TRACKED: [ComponentKind; 5] = [
+    ComponentKind::Sa,
+    ComponentKind::Vu,
+    ComponentKind::Hbm,
+    ComponentKind::Ici,
+    ComponentKind::Dma,
+];
+
+/// Idle-interval lengths of one busy track over `[0, total_cycles)`.
+#[derive(Debug)]
+struct IdleLens {
+    /// Every idle interval (the energy walk).
+    all: Vec<u64>,
+    /// How many leading intervals are followed by more work. A trailing
+    /// interval, including the single `[0, makespan)` interval of a
+    /// component the workload never touches, ends the execution and
+    /// never pays a wake-up.
+    waking: usize,
+}
+
+impl IdleLens {
+    fn of(gaps: &[npu_sim::CycleInterval], total_cycles: u64) -> Self {
+        // Gap ends never decrease, so the gaps ending before
+        // `total_cycles` are a prefix.
+        IdleLens {
+            all: gaps.iter().map(npu_sim::CycleInterval::len).collect(),
+            waking: gaps.partition_point(|iv| iv.end < total_cycles),
+        }
+    }
+
+    /// The idle intervals followed by more work.
+    fn waking(&self) -> &[u64] {
+        &self.all[..self.waking]
+    }
+}
+
+/// The active-period SA equivalent cycles of a whole trace under each
+/// [`SaActiveMode`].
+#[derive(Debug, Default)]
+struct SaActiveSums {
+    full_power: f64,
+    spatial: f64,
+    utilization: f64,
+}
+
+impl SaActiveSums {
+    fn of(&self, mode: SaActiveMode) -> f64 {
+        match mode {
+            SaActiveMode::FullPower => self.full_power,
+            SaActiveMode::Spatial => self.spatial,
+            SaActiveMode::Utilization => self.utilization,
+        }
+    }
+}
+
+/// One ever-live SRAM segment band: its live cycles and dead lengths.
+#[derive(Debug)]
+struct SramBand {
+    live_cycles: u64,
+    num_segments: usize,
+    dead_lens: Vec<u64>,
+}
+
+/// The policy-independent pricing input of one simulated trace, built
+/// once by [`Evaluator::trace_facts`] and walked by every policy row.
+#[derive(Debug)]
+struct TraceFacts<'a> {
+    timeline: &'a BusyTimeline,
+    total_cycles: u64,
+    /// Busy cycles and idle lengths of each [`TRACKED`] component, in
+    /// that order.
+    busy: [u64; 5],
+    idle: [IdleLens; 5],
+    /// The whole-chip idle track, built on first use.
+    union: OnceCell<IdleLens>,
+    sa_active: SaActiveSums,
+    sram_bands: Vec<SramBand>,
+    sram_segments: usize,
+    sram_ever_live: usize,
+    /// The largest per-operator dynamic power, in watts (`None` when no
+    /// operator has a positive duration).
+    max_dynamic_w: Option<f64>,
+}
+
+impl TraceFacts<'_> {
+    /// Busy cycles and idle lengths of one tracked component.
+    fn track(&self, kind: ComponentKind) -> (u64, &IdleLens) {
+        let i = TRACKED.iter().position(|&k| k == kind).expect("a tracked component");
+        (self.busy[i], &self.idle[i])
+    }
+
+    /// The whole-chip idle intervals: every tracked component quiet.
+    fn union(&self) -> &IdleLens {
+        self.union.get_or_init(|| {
+            let gaps = self.timeline.union_idle_intervals(&TRACKED, self.total_cycles);
+            IdleLens::of(&gaps, self.total_cycles)
+        })
     }
 }
 
@@ -1133,6 +1225,35 @@ mod tests {
         let whole_other = whole.energy.component(ComponentKind::Other).total_j();
         assert!(whole_other <= full_other + 1e-12, "{whole_other} > {full_other}");
         assert!(whole.savings >= full.savings - 1e-12);
+    }
+
+    #[test]
+    fn pricing_a_policy_set_equals_pricing_each_policy_alone() {
+        // Every row walks the same per-trace pricing input; no row may
+        // depend on which other rows were priced alongside it.
+        let evaluator = Evaluator::new(NpuGeneration::D);
+        let wl = Workload::dlrm(DlrmSize::Small).with_batch(32);
+        let chip = ChipConfig::new(NpuGeneration::D, 1);
+        let parallelism = wl
+            .default_parallelism(chip.spec(), 1)
+            .unwrap_or_else(|| ParallelismConfig::new(1, 1, 1));
+        let compiled = Compiler::new(chip.spec().clone()).compile(&wl.build_graph(&parallelism));
+        // A serving-shaped trace: operators released in staggered groups,
+        // so every track carries inter-batch idle gaps.
+        let releases: Vec<u64> = (0..compiled.len()).map(|id| (id as u64 / 16) * 200_000).collect();
+        let simulation = Simulator::new(chip).run_with_releases(&compiled, &releases);
+        let mut kinds: Vec<PolicyKind> = Design::ALL.map(PolicyKind::Preset).to_vec();
+        kinds.extend(PolicyKind::EXTENDED);
+        kinds.push(PolicyKind::WholeChipFull);
+        let bits = |row: &PolicyEvaluation| {
+            [row.energy.total_j(), row.savings, row.performance_overhead, row.peak_power_w]
+                .map(f64::to_bits)
+        };
+        let set = evaluator.evaluate_policies(1, &compiled, &simulation, 1.0, &kinds);
+        for (row, kind) in set.rows.iter().zip(kinds) {
+            let alone = evaluator.evaluate_policies(1, &compiled, &simulation, 1.0, &[kind]);
+            assert_eq!(bits(row), bits(&alone.rows[0]), "{}", row.label);
+        }
     }
 
     #[test]

@@ -141,8 +141,10 @@ pub fn suffix_or(bits: &[bool]) -> Vec<bool> {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SaGatingPlan {
     sa_width: usize,
-    row_on: Vec<bool>,
-    col_on: Vec<bool>,
+    /// After the suffix-OR the powered rows and columns are always a
+    /// prefix, so their counts describe the plan fully.
+    rows_on: usize,
+    cols_on: usize,
 }
 
 impl SaGatingPlan {
@@ -170,7 +172,8 @@ impl SaGatingPlan {
                 }
             }
         }
-        SaGatingPlan { sa_width, row_on: suffix_or(&row_nz), col_on: suffix_or(&col_nz) }
+        let count_on = |nz: &[bool]| suffix_or(nz).iter().filter(|&&on| on).count();
+        SaGatingPlan { sa_width, rows_on: count_on(&row_nz), cols_on: count_on(&col_nz) }
     }
 
     /// Builds the plan directly from a matmul shape `[M,K]×[K,N]` mapped to
@@ -178,11 +181,7 @@ impl SaGatingPlan {
     /// `>= min(N, width)` hold only padded zero weights.
     #[must_use]
     pub fn from_matmul_dims(sa_width: usize, k: usize, n: usize) -> Self {
-        let k_used = k.min(sa_width);
-        let n_used = n.min(sa_width);
-        let row_nz: Vec<bool> = (0..sa_width).map(|r| r < k_used).collect();
-        let col_nz: Vec<bool> = (0..sa_width).map(|c| c < n_used).collect();
-        SaGatingPlan { sa_width, row_on: suffix_or(&row_nz), col_on: suffix_or(&col_nz) }
+        SaGatingPlan { sa_width, rows_on: k.min(sa_width), cols_on: n.min(sa_width) }
     }
 
     /// Width of the systolic array.
@@ -195,25 +194,25 @@ impl SaGatingPlan {
     /// pass data to a later row that does).
     #[must_use]
     pub fn row_on(&self, r: usize) -> bool {
-        self.row_on.get(r).copied().unwrap_or(false)
+        r < self.rows_on
     }
 
     /// Whether column `c` must stay powered.
     #[must_use]
     pub fn col_on(&self, c: usize) -> bool {
-        self.col_on.get(c).copied().unwrap_or(false)
+        c < self.cols_on
     }
 
     /// Number of rows kept on.
     #[must_use]
     pub fn rows_on(&self) -> usize {
-        self.row_on.iter().filter(|&&b| b).count()
+        self.rows_on
     }
 
     /// Number of columns kept on.
     #[must_use]
     pub fn cols_on(&self) -> usize {
-        self.col_on.iter().filter(|&&b| b).count()
+        self.cols_on
     }
 
     /// Fraction of PEs that can be switched completely off for the whole

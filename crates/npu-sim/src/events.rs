@@ -1,13 +1,22 @@
 //! Discrete-event machinery for the timeline engine: a deterministic
-//! min-time binary-heap event queue.
+//! min-time event queue.
 //!
 //! `std::collections::BinaryHeap` is a max-heap, so [`ScheduledEvent`]
 //! reverses its ordering to pop the earliest event first. Events carry a
 //! monotonically increasing sequence number that breaks time ties, which
 //! makes the simulation fully deterministic: two runs over the same
 //! compiled graph schedule every phase at identical cycles.
+//!
+//! Events scheduled before the first pop — the engine's seed events, most
+//! of them clamped to their request's release cycle — never enter the
+//! heap. They go into a seed list that is sorted once at the first pop,
+//! latest first, so its earliest event sits at the end; every pop takes
+//! the earlier of the list's last event and the heap top. The pop order
+//! is the exact `(at, seq)` order of one heap holding everything, while
+//! the heap itself only holds events scheduled inside the loop, so its
+//! size tracks in-flight work instead of trace length.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// What happened (or must be attempted) at an event's firing time.
@@ -80,6 +89,11 @@ impl PartialOrd for ScheduledEvent {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<ScheduledEvent>,
+    /// Events scheduled before the first pop; sorted at that pop, latest
+    /// first, and popped from the end.
+    seeds: Vec<ScheduledEvent>,
+    /// Whether the first pop happened (later events go to the heap).
+    started: bool,
     next_seq: u64,
     now: u64,
 }
@@ -91,21 +105,15 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Creates an empty queue at cycle 0 that reuses `buffer` as the
-    /// heap's backing storage (its contents are discarded, its capacity
-    /// kept) — pair with [`EventQueue::into_buffer`] to run many
-    /// simulations without reallocating the heap.
-    #[must_use]
-    pub fn with_buffer(mut buffer: Vec<ScheduledEvent>) -> Self {
-        buffer.clear();
-        EventQueue { heap: BinaryHeap::from(buffer), next_seq: 0, now: 0 }
-    }
-
-    /// Consumes the queue and returns the heap's backing storage for
-    /// reuse by a later [`EventQueue::with_buffer`].
-    #[must_use]
-    pub fn into_buffer(self) -> Vec<ScheduledEvent> {
-        self.heap.into_vec()
+    /// Empties the queue and rewinds it to cycle 0, keeping the heap's and
+    /// the seed list's storage so many simulations can reuse one queue
+    /// without reallocating.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.seeds.clear();
+        self.started = false;
+        self.next_seq = 0;
+        self.now = 0;
     }
 
     /// The current simulation time (the firing time of the last popped
@@ -115,7 +123,8 @@ impl EventQueue {
         self.now
     }
 
-    /// Schedules an event at an absolute cycle.
+    /// Schedules an event at an absolute cycle. Before the first pop the
+    /// event goes to the seed list, afterwards onto the heap.
     ///
     /// # Panics
     ///
@@ -124,26 +133,50 @@ impl EventQueue {
         assert!(at >= self.now, "event at cycle {at} scheduled before now ({})", self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, kind });
+        let ev = ScheduledEvent { at, seq, kind };
+        if self.started {
+            self.heap.push(ev);
+        } else {
+            self.seeds.push(ev);
+        }
     }
 
     /// Pops the earliest event and advances the clock to its firing time.
+    /// The first pop sorts the seed list.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        let ev = self.heap.pop()?;
+        if !self.started {
+            self.started = true;
+            // Sequence numbers are unique, so the unstable sort is exact
+            // and needs no scratch buffer.
+            self.seeds.sort_unstable_by_key(|e| Reverse((e.at, e.seq)));
+        }
+        let from_seeds = match (self.seeds.last(), self.heap.peek()) {
+            (Some(s), Some(h)) => (s.at, s.seq) < (h.at, h.seq),
+            (seed, _) => seed.is_some(),
+        };
+        let ev = if from_seeds { self.seeds.pop() } else { self.heap.pop() }?;
         self.now = ev.at;
         Some(ev)
     }
 
-    /// Number of pending events.
+    /// Number of pending events: the heap plus the seed events not yet
+    /// popped.
     #[must_use]
     pub fn len(&self) -> usize {
+        self.heap.len() + self.seeds.len()
+    }
+
+    /// Number of events on the heap alone — those scheduled after the
+    /// first pop and not yet popped.
+    #[must_use]
+    pub fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Whether no events are pending.
+    /// Whether no events are pending, on the heap or in the seed list.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
@@ -189,6 +222,57 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), 9);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn seed_list_and_heap_pop_in_plain_heap_order() {
+        // Oracle: one `BinaryHeap` holding every event, seeds included.
+        use crate::rng::SplitMix64;
+        for seed in 0..20 {
+            let mut rng = SplitMix64::new(seed);
+            let mut q = EventQueue::new();
+            let mut oracle = BinaryHeap::new();
+            let mut next_seq = 0;
+            let mut schedule = |q: &mut EventQueue, oracle: &mut BinaryHeap<_>, at, op| {
+                let kind = EventKind::IssueMain { op };
+                q.schedule(at, kind);
+                oracle.push(ScheduledEvent { at, seq: next_seq, kind });
+                next_seq += 1;
+            };
+            // Seeds with many time ties, like release-clamped sources.
+            for op in 0..rng.range(0, 200) as usize {
+                schedule(&mut q, &mut oracle, rng.range(0, 50) * 100, op);
+            }
+            let mut popped = 0;
+            while let Some(ev) = q.pop() {
+                assert_eq!(Some(ev), oracle.pop(), "seed {seed}, pop {popped}");
+                popped += 1;
+                for _ in 0..rng.range(0, 2) {
+                    if popped < 2_000 {
+                        let at = q.now() + rng.range(0, 300);
+                        schedule(&mut q, &mut oracle, at, popped);
+                    }
+                }
+                assert_eq!(q.len(), oracle.len(), "pending count covers both stores");
+            }
+            assert!(oracle.is_empty() && q.is_empty(), "seed {seed}: queues drained together");
+        }
+    }
+
+    #[test]
+    fn heap_holds_only_events_scheduled_after_the_first_pop() {
+        let mut q = EventQueue::new();
+        for op in 0..100 {
+            q.schedule(op as u64 * 10, EventKind::IssueDma { op });
+        }
+        assert_eq!((q.len(), q.heap_len()), (100, 0));
+        q.pop();
+        q.schedule(5, EventKind::DmaComplete { op: 0 });
+        assert_eq!((q.len(), q.heap_len()), (100, 1));
+        q.clear();
+        assert!(q.is_empty() && q.now() == 0);
+        q.schedule(3, EventKind::IssueDma { op: 0 });
+        assert_eq!((q.len(), q.heap_len()), (1, 0), "a cleared queue seeds again");
     }
 
     #[test]

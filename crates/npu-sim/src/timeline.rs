@@ -676,9 +676,11 @@ impl ScheduledOp {
 pub struct RunCounters {
     /// Events popped off the queue over the whole run.
     pub events_popped: u64,
-    /// Largest number of scheduled events ever pending at once (sampled
-    /// at every pop, which bounds the heap's true peak: the queue only
-    /// grows between pops).
+    /// Largest number of events ever on the queue's heap at once (sampled
+    /// at every pop, which bounds the heap's true peak: the heap only
+    /// grows between pops). Seed events scheduled before the first pop
+    /// wait in a sorted list instead and are not counted, so the peak
+    /// tracks in-flight work, not trace length.
     pub heap_peak: u64,
     /// Operators retired (all phases complete).
     pub ops_retired: u64,
@@ -749,13 +751,13 @@ struct OpState {
 }
 
 /// Reusable run-state buffers for [`TimelineEngine::run_with_scratch`]:
-/// the per-operator state arena and the event queue's heap storage.
-/// Holding one scratch across many runs (a serving sweep, a bench loop)
-/// keeps the hot loop free of per-run allocations.
+/// the per-operator state arena and the event queue (its heap and seed
+/// list storage). Holding one scratch across many runs (a serving sweep,
+/// a bench loop) keeps the hot loop free of per-run allocations.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     state: Vec<OpState>,
-    events: Vec<crate::events::ScheduledEvent>,
+    queue: EventQueue,
 }
 
 /// The event-driven timeline engine.
@@ -821,7 +823,7 @@ struct EngineRun<'a> {
     topo: &'a TimelineEngine,
     releases: &'a [u64],
     state: &'a mut [OpState],
-    queue: EventQueue,
+    queue: &'a mut EventQueue,
     timeline: BusyTimeline,
     tracks: ResourceTimeline,
     /// When each resource instance frees up, indexed by [`ResourceId`].
@@ -1002,12 +1004,12 @@ impl TimelineEngine {
         );
         scratch.state.clear();
         scratch.state.resize(n, OpState::default());
-        let queue = EventQueue::with_buffer(std::mem::take(&mut scratch.events));
+        scratch.queue.clear();
         let mut run = EngineRun {
             topo: self,
             releases,
             state: &mut scratch.state,
-            queue,
+            queue: &mut scratch.queue,
             timeline: BusyTimeline::default(),
             // Single-chip per-resource tracks duplicate the kind-level
             // timeline record for record, so the hot loop skips them (an
@@ -1023,7 +1025,9 @@ impl TimelineEngine {
             counters: RunCounters::for_set(&self.resources),
         };
         // Seed the queue: buffer-free prefetches, then every source
-        // operator (all producers already satisfied).
+        // operator (all producers already satisfied). These events land in
+        // the queue's seed list, not its heap, so release-clamped sources
+        // of later batches wait there without growing the heap.
         for k in 0..n {
             run.state[k].buffer_ready = self.buffer_dep[k].is_none();
             run.state[k].pending_producers = self.phases[k].producers.len();
@@ -1037,9 +1041,9 @@ impl TimelineEngine {
             }
         }
         loop {
-            // Sampling the queue length right before each pop captures the
-            // true heap peak: the queue only grows between two pops.
-            run.counters.heap_peak = run.counters.heap_peak.max(run.queue.len() as u64);
+            // Sampling the heap length right before each pop captures the
+            // true heap peak: the heap only grows between two pops.
+            run.counters.heap_peak = run.counters.heap_peak.max(run.queue.heap_len() as u64);
             let Some(ev) = run.queue.pop() else { break };
             run.counters.events_popped += 1;
             let t = ev.at;
@@ -1075,8 +1079,6 @@ impl TimelineEngine {
             .collect();
         let mut timeline = run.timeline;
         let mut resource_timeline = run.tracks;
-        // Hand the (drained) event heap back for the next run.
-        scratch.events = run.queue.into_buffer();
         // The SRAM has no blanket busy interval here: the engine layer
         // above maps the allocator's per-segment lifetimes through the
         // scheduled operator spans and records the union of *live* segment

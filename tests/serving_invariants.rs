@@ -397,3 +397,20 @@ fn low_load_gaps_are_real_idle_intervals_that_the_evaluator_gates() {
         "NoPG must burn leakage through the inter-request gaps"
     );
 }
+
+#[test]
+fn event_heap_stays_bounded_by_in_flight_work_as_the_trace_grows() {
+    // Release-clamped seed events of later batches wait in the queue's
+    // sorted seed list, not on its heap, so the heap peak tracks the
+    // batches in flight instead of trace length: eight times the requests
+    // may at most double it.
+    let server = dlrm_server();
+    let heap_peak = |requests: usize| {
+        let arrivals =
+            ArrivalProcess::Poisson { mean_interval_cycles: 100_000.0, seed: 7 }.arrivals(requests);
+        server.run(&arrivals, &BatchPolicy::Static { batch: 4 }).simulation.counters().heap_peak
+    };
+    let (short, long) = (heap_peak(64), heap_peak(512));
+    assert!(short > 0, "the short trace schedules events on the heap");
+    assert!(long <= 2 * short, "heap peak grew from {short} to {long} events with trace length");
+}
