@@ -423,8 +423,8 @@ impl Evaluator {
                 _ => vu_flops += op.op.flops() + op.fused_vu_flops,
             }
         }
-        let hbm_bytes: f64 = sim.timings().iter().map(|t| t.hbm_bytes as f64).sum();
-        let ici_bytes: f64 = sim.timings().iter().map(|t| t.ici_bytes as f64).sum();
+        let hbm_bytes: f64 = sim.profiles().iter().map(|p| p.hbm_bytes as f64).sum();
+        let ici_bytes: f64 = sim.profiles().iter().map(|p| p.ici_bytes as f64).sum();
         ChipUsage {
             busy_seconds: sim.total_seconds(),
             sa_flops,
@@ -454,8 +454,8 @@ impl Evaluator {
         let spec = model.spec();
         let leak = self.gating.leakage.logic_off;
         let mut sa_active = SaActiveSums::default();
-        for (op, timing) in compiled.anchors().zip(sim.timings()) {
-            let active = timing.sa_active_cycles as f64;
+        for (op, profile) in compiled.anchors().zip(sim.profiles()) {
+            let active = profile.sa_active_cycles as f64;
             if active == 0.0 {
                 continue;
             }
@@ -471,7 +471,7 @@ impl Evaluator {
             let tile_m = m.min(spec.sa_width as u64 * 32);
             let gated_frac = plan.gated_pe_cycle_fraction(tile_m, W_ON_RESIDUAL);
             sa_active.spatial += active * ((1.0 - gated_frac) + gated_frac * leak);
-            sa_active.utilization += active * timing.sa_spatial_utilization;
+            sa_active.utilization += active * profile.sa_spatial_utilization;
         }
 
         let segments = sim.segment_timeline();
@@ -492,17 +492,18 @@ impl Evaluator {
         // The most power-hungry operator's dynamic power; every row adds
         // its own static power to it.
         let max_dynamic_w = sim
-            .timings()
+            .profiles()
             .iter()
-            .filter_map(|t| {
+            .zip(sim.timings())
+            .filter_map(|(p, t)| {
                 let secs = t.duration_seconds(spec.frequency_hz());
                 if secs <= 0.0 {
                     return None;
                 }
-                let dynamic_j = model.sa_energy_per_flop() * t.flops
-                    + model.hbm_energy_per_byte() * t.hbm_bytes as f64
-                    + model.ici_energy_per_byte() * t.ici_bytes as f64
-                    + model.sram_energy_per_byte() * 3.0 * t.hbm_bytes as f64
+                let dynamic_j = model.sa_energy_per_flop() * p.flops
+                    + model.hbm_energy_per_byte() * p.hbm_bytes as f64
+                    + model.ici_energy_per_byte() * p.ici_bytes as f64
+                    + model.sram_energy_per_byte() * 3.0 * p.hbm_bytes as f64
                     + model.other_dynamic_power_w() * secs;
                 Some(dynamic_j / secs)
             })

@@ -312,6 +312,10 @@ impl ServingOutcome {
 #[derive(Debug)]
 struct PreparedTrace {
     compiled: Arc<CompiledGraph>,
+    /// [`analysis::check_compiled_graph`] on `compiled`, run once here so
+    /// [`ServingSimulator::verify`] can reuse it for every outcome that
+    /// shares this graph.
+    dag_diagnostics: Vec<Diagnostic>,
     prepared: PreparedSimulator,
     /// Anchor position (timings index) of each op id.
     positions: Vec<usize>,
@@ -612,6 +616,7 @@ impl ServingSimulator {
         let prepared = Simulator::new(self.chip.clone()).prepare(&combined);
         let positions = combined.anchor_positions();
         let trace = Arc::new(PreparedTrace {
+            dag_diagnostics: analysis::check_compiled_graph(&combined),
             compiled: Arc::new(combined),
             prepared,
             positions,
@@ -627,11 +632,22 @@ impl ServingSimulator {
     /// analyzer on the prepared trace — which brackets the *measured*
     /// makespan inside the static `[critical path, serial sum]` window
     /// and audits the SRAM allocation — without re-running the schedule.
-    /// Cached trace preparations make this cheap in a sweep.
+    /// Cached trace preparations make this cheap in a sweep: when the
+    /// outcome's graph is the very `Arc` the trace cache holds, the DAG
+    /// verdict computed when that trace was prepared is reused; any other
+    /// graph (an uncached run, a hand-built or edited outcome) is checked
+    /// in full. The report is identical either way.
     #[must_use]
     pub fn verify(&self, outcome: &ServingOutcome) -> AnalysisReport {
-        let mut report = outcome.analyze();
         let shape: Vec<usize> = outcome.batches.iter().map(|b| b.requests.len()).collect();
+        let mut report = AnalysisReport::new();
+        match self.cached_trace(&shape) {
+            Some(trace) if Arc::ptr_eq(&outcome.compiled, &trace.compiled) => {
+                report.extend(trace.dag_diagnostics.iter().cloned());
+            }
+            _ => report.extend(analysis::check_compiled_graph(&outcome.compiled)),
+        }
+        report.extend(outcome.trace_diagnostics());
         if shape.is_empty() || !report.is_schedulable() {
             return report;
         }
@@ -640,6 +656,12 @@ impl ServingSimulator {
             Self::release_plan(&trace, outcome.batches.iter().map(|b| b.dispatch_cycle));
         report.merge(trace.prepared.analyze(&op_releases, Some(outcome.makespan_cycles())));
         report
+    }
+
+    /// The prepared trace of `shape` if the cache holds one. A peek: it
+    /// counts neither a hit nor a miss.
+    fn cached_trace(&self, shape: &[usize]) -> Option<Arc<PreparedTrace>> {
+        self.trace_cache.lock().expect("trace cache").get(shape).cloned()
     }
 
     /// Shared post-processing of a scheduled trace: per-batch completion
@@ -740,6 +762,69 @@ mod tests {
         assert!(verified.is_schedulable(), "{}", verified.render());
         let window = verified.makespan_window.expect("verification brackets the makespan");
         assert!(window.contains(outcome.makespan_cycles()));
+    }
+
+    /// Counter movement between two snapshots.
+    fn delta(before: ServingCacheCounters, after: ServingCacheCounters) -> [u64; 4] {
+        [
+            after.batch_hits - before.batch_hits,
+            after.batch_misses - before.batch_misses,
+            after.trace_hits - before.trace_hits,
+            after.trace_misses - before.trace_misses,
+        ]
+    }
+
+    #[test]
+    fn verify_reuses_the_prepared_dag_verdict_only_for_the_cached_graph() {
+        // 80 DLRM-S requests lower to more anchors than the redundant-edge
+        // pass budgets for, so even this clean graph carries a DAG note.
+        let simulator = ServingSimulator::new(
+            NpuGeneration::D,
+            1,
+            Workload::dlrm(DlrmSize::Small).with_batch(8),
+        );
+        let arrivals: Vec<u64> = (0..80).map(|i| i * 40_000).collect();
+        let outcome = simulator.run(&arrivals, &BatchPolicy::Static { batch: 4 });
+        // The same graph behind a fresh `Arc` takes the full DAG check.
+        let rewrapped =
+            ServingOutcome { compiled: Arc::new((*outcome.compiled).clone()), ..outcome.clone() };
+        assert!(!Arc::ptr_eq(&rewrapped.compiled, &outcome.compiled));
+
+        let start = simulator.cache_counters();
+        let memoized = simulator.verify(&outcome);
+        let middle = simulator.cache_counters();
+        let full = simulator.verify(&rewrapped);
+        let end = simulator.cache_counters();
+        assert!(
+            memoized.diagnostics.iter().any(|d| d.rule_id == rules::DAG_REDUNDANT_EDGE_SKIPPED),
+            "the fixture must carry a DAG finding: {}",
+            memoized.render()
+        );
+        assert_eq!(memoized.diagnostics, full.diagnostics);
+        assert_eq!(memoized.makespan_window, full.makespan_window);
+        assert!(memoized.makespan_window.is_some());
+        // Both calls look the trace up exactly as before: one hit each.
+        assert_eq!(delta(start, middle), [0, 0, 1, 0]);
+        assert_eq!(delta(middle, end), delta(start, middle));
+
+        // A producer pointing forward, under a fresh `Arc`, is still denied.
+        let graph = &outcome.compiled;
+        let mut producers: Vec<Vec<usize>> =
+            (0..graph.len()).map(|id| graph.producers_of(id).to_vec()).collect();
+        let last = graph.len() - 1;
+        producers[1].push(last);
+        let broken = ServingOutcome {
+            compiled: Arc::new(CompiledGraph::from_parts(
+                graph.name(),
+                graph.ops().to_vec(),
+                producers,
+            )),
+            ..outcome.clone()
+        };
+        let report = simulator.verify(&broken);
+        assert!(report.denials().any(|d| d.rule_id == rules::DAG_CYCLE), "{}", report.render());
+        assert!(report.makespan_window.is_none());
+        assert_eq!(delta(end, simulator.cache_counters()), [0; 4]);
     }
 
     #[test]

@@ -561,13 +561,28 @@ pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
     // whose producer is out of range (or the operator itself) never
     // drains, so operators behind dangling producers and operators on
     // cycles are exactly the leftovers.
+    // Consumer lists in CSR form: `consumers[starts[p]..starts[p + 1]]`
+    // holds p's consumers in id order.
     let mut indegree = vec![0usize; n];
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut starts = vec![0usize; n + 1];
     for (id, degree) in indegree.iter_mut().enumerate() {
         for &p in graph.producers_of(id) {
             *degree += 1;
             if p < n && p != id {
-                consumers[p].push(id);
+                starts[p + 1] += 1;
+            }
+        }
+    }
+    for p in 0..n {
+        starts[p + 1] += starts[p];
+    }
+    let mut fill = starts.clone();
+    let mut consumers = vec![0usize; starts[n]];
+    for id in 0..n {
+        for &p in graph.producers_of(id) {
+            if p < n && p != id {
+                consumers[fill[p]] = id;
+                fill[p] += 1;
             }
         }
     }
@@ -575,7 +590,7 @@ pub fn check_compiled_graph(graph: &CompiledGraph) -> Vec<Diagnostic> {
     let mut ordered = 0usize;
     while let Some(id) = ready.pop() {
         ordered += 1;
-        for &c in &consumers[id] {
+        for &c in &consumers[starts[id]..starts[id + 1]] {
             indegree[c] -= 1;
             if indegree[c] == 0 {
                 ready.push(c);
@@ -1364,7 +1379,7 @@ impl SramCapacityReport {
     pub fn for_simulation(result: &SimulationResult) -> Self {
         Self::from_parts(
             result.chip().spec().sram_bytes(),
-            result.timings().iter().map(|t| t.sram_live_bytes),
+            result.profiles().iter().map(|p| p.sram_live_bytes),
             result.segment_timeline().peak_live_bytes(),
         )
     }

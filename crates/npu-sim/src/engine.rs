@@ -15,6 +15,8 @@
 //! `max(compute, stream)` — the same intra-operator double-buffering
 //! idealization the serial cost model makes.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use npu_arch::{ChipConfig, ComponentKind, PodTopology};
@@ -28,7 +30,7 @@ use crate::timeline::{
     BusyTimeline, EngineScratch, IdleHistogram, OpPhases, Resource, ResourceSet, RunCounters,
     TimelineEngine,
 };
-use crate::timing::OpTiming;
+use crate::timing::{OpProfile, OpTiming};
 
 /// Fixed per-operator dispatch overhead in cycles (instruction fetch,
 /// scalar setup, DMA descriptor programming).
@@ -63,11 +65,10 @@ pub struct Simulator {
     topology: PodTopology,
 }
 
-/// Per-operator phase durations plus the timing template the schedule
-/// completes.
-struct OpProfile {
+/// Per-operator phase durations plus the operator's static profile.
+struct AnchorProfile {
     phases: OpPhases,
-    timing: OpTiming,
+    profile: OpProfile,
 }
 
 impl Simulator {
@@ -122,10 +123,11 @@ impl Simulator {
     /// Profiles, allocates, and builds the timeline engine for a compiled
     /// graph **once**, returning a [`PreparedSimulator`] that can replay
     /// the graph against many release vectors. Per replay only the event
-    /// loop, the span-to-clock segment mapping, and the timing fill-in run
-    /// — the per-anchor profiling, SRAM allocation sweep, and dependency
-    /// flattening are all paid here. This is the compile-once/run-many
-    /// path the serving layer's graph cache builds on.
+    /// loop, the span-to-clock segment mapping, and the per-anchor
+    /// [`OpTiming`] spans run — the per-anchor [`OpProfile`]s, SRAM
+    /// allocation sweep, and dependency flattening are all paid here. This
+    /// is the compile-once/run-many path the serving layer's graph cache
+    /// builds on.
     #[must_use]
     pub fn prepare(&self, graph: &CompiledGraph) -> PreparedSimulator {
         let spec = self.chip.spec();
@@ -137,34 +139,38 @@ impl Simulator {
 
         let num_anchors = graph.num_anchors();
         let mut phases = Vec::with_capacity(num_anchors);
-        let mut timings = Vec::with_capacity(num_anchors);
+        let mut profiles = Vec::with_capacity(num_anchors);
         let mut anchor_ids = Vec::with_capacity(num_anchors);
         for ((anchor_index, op), producers) in
             graph.anchors().enumerate().zip(graph.anchor_producers())
         {
-            let mut profile = self.profile_operator(op);
-            profile.timing.op_index = anchor_index;
-            profile.timing.sram_live_bytes = live_profile[anchor_index];
+            let mut anchor = self.profile_operator(op);
+            anchor.profile.op_index = anchor_index;
+            anchor.profile.sram_live_bytes = live_profile[anchor_index];
             // Over-capacity live bytes are an allocator bug, not a value
             // downstream consumers may quietly clamp; see
             // `validation::SramCapacityReport` for the release-mode audit.
             debug_assert!(
-                profile.timing.sram_live_bytes <= spec.sram_bytes(),
+                anchor.profile.sram_live_bytes <= spec.sram_bytes(),
                 "anchor {anchor_index}: allocator reports {} live bytes in a {}-byte scratchpad",
-                profile.timing.sram_live_bytes,
+                anchor.profile.sram_live_bytes,
                 spec.sram_bytes()
             );
-            profile.phases.producers = producers;
+            anchor.phases.producers = producers;
             anchor_ids.push(op.op.id);
-            phases.push(profile.phases);
-            timings.push(profile.timing);
+            phases.push(anchor.phases);
+            profiles.push(anchor.profile);
         }
+        let sa_weighted_spatial = profiles
+            .iter()
+            .fold(0.0, |sum, p| sum + p.sa_spatial_utilization * p.sa_active_cycles as f64);
         let fold_anchor =
             graph.ops().iter().enumerate().map(|(id, op)| op.folded_into.unwrap_or(id)).collect();
         PreparedSimulator {
             chip: self.chip.clone(),
             engine: TimelineEngine::new(phases),
-            timings,
+            profiles: profiles.into(),
+            sa_weighted_spatial,
             fold_anchor,
             anchor_ids,
             lifetimes: allocation.segment_lifetimes(),
@@ -174,7 +180,7 @@ impl Simulator {
     }
 
     /// Computes the phase durations of a single anchor operator.
-    fn profile_operator(&self, op: &CompiledOp) -> OpProfile {
+    fn profile_operator(&self, op: &CompiledOp) -> AnchorProfile {
         let spec = self.chip.spec();
         let hbm_bpc = spec.hbm_bytes_per_cycle();
         let hbm_latency_cycles = spec.seconds_to_cycles(spec.hbm_kind.access_latency_ns() * 1e-9);
@@ -294,13 +300,10 @@ impl Simulator {
             producers: Vec::new(),
             collective: None,
         };
-        let timing = OpTiming {
+        let profile = OpProfile {
             op_index: 0,
             name: op.op.name.clone(),
             unit: op.unit,
-            start_cycle: 0,
-            compute_start_cycle: 0,
-            duration_cycles: serial,
             serial_duration_cycles: serial,
             sa_active_cycles: sa_active.min(serial),
             sa_spatial_utilization: sa_spatial,
@@ -313,26 +316,29 @@ impl Simulator {
             sram_live_bytes: 0,
             sram_demand_bytes: op.tile.sram_demand_bytes,
         };
-        OpProfile { phases, timing }
+        AnchorProfile { phases, profile }
     }
 }
 
 /// A compiled graph profiled, allocated, and dependency-flattened for
 /// repeated simulation — see [`Simulator::prepare`].
 ///
-/// All release-independent work lives here: per-anchor phase durations and
-/// timing templates, the SRAM allocation's live-bytes profile and segment
-/// lifetimes, and the timeline engine's CSR topology. Replaying against a
-/// new release vector ([`PreparedSimulator::run_with_scratch`]) pays only
-/// the event loop and the clock mapping, which is what makes a serving
-/// sweep over repeated batch shapes cheap.
+/// All release-independent work lives here: per-anchor phase durations,
+/// the per-anchor [`OpProfile`]s (shared by every result through one
+/// `Arc`), the SRAM allocation's live-bytes profile and segment lifetimes,
+/// and the timeline engine's CSR topology. Replaying against a new release
+/// vector ([`PreparedSimulator::run_with_scratch`]) pays only the event
+/// loop, the per-anchor spans and the clock mapping, which is what makes a
+/// serving sweep over repeated batch shapes cheap.
 #[derive(Debug)]
 pub struct PreparedSimulator {
     chip: ChipConfig,
     engine: TimelineEngine,
-    /// Timing templates: everything but the schedule-dependent
-    /// start/duration fields, filled per replay.
-    timings: Vec<OpTiming>,
+    /// Static per-anchor profiles, shared with every replay's result.
+    profiles: Arc<[OpProfile]>,
+    /// SA spatial utilization weighted by SA active cycles, summed in
+    /// anchor order (the activity model's input; release-independent).
+    sa_weighted_spatial: f64,
     /// Op id → op id of its fusion-group anchor (identity when unfused).
     fold_anchor: Vec<usize>,
     /// Anchor index → op id.
@@ -410,10 +416,10 @@ impl PreparedSimulator {
         let mut report =
             crate::analysis::analyze_phases(self.engine.phases(), &releases, measured_makespan);
         let capacity = self.chip.spec().sram_bytes();
-        let peak = self.timings.iter().map(|t| t.sram_live_bytes).max().unwrap_or(0);
+        let peak = self.profiles.iter().map(|p| p.sram_live_bytes).max().unwrap_or(0);
         let audit = crate::analysis::SramCapacityReport::from_parts(
             capacity,
-            self.timings.iter().map(|t| t.sram_live_bytes),
+            self.profiles.iter().map(|p| p.sram_live_bytes),
             peak,
         );
         report.extend(audit.diagnostics());
@@ -473,14 +479,15 @@ impl PreparedSimulator {
         let releases = self.anchor_releases(op_releases);
 
         let schedule = self.engine.run_with_scratch_observed(&releases, scratch, obs);
-        let mut timings = self.timings.clone();
-        let mut sa_weighted_spatial = 0.0f64;
-        for (timing, scheduled) in timings.iter_mut().zip(schedule.ops.iter()) {
-            timing.start_cycle = scheduled.span_start();
-            timing.compute_start_cycle = scheduled.main_start;
-            timing.duration_cycles = scheduled.span_cycles();
-            sa_weighted_spatial += timing.sa_spatial_utilization * timing.sa_active_cycles as f64;
-        }
+        let timings = schedule
+            .ops
+            .iter()
+            .map(|scheduled| OpTiming {
+                start_cycle: scheduled.span_start(),
+                compute_start_cycle: scheduled.main_start,
+                duration_cycles: scheduled.span_cycles(),
+            })
+            .collect();
         // Per-segment SRAM liveness on the global clock: the allocator's
         // anchor-granularity lifetimes mapped through the scheduled spans.
         // The SRAM's busy track is the union of live segment intervals —
@@ -499,10 +506,14 @@ impl PreparedSimulator {
             timeline.record(ComponentKind::Sram, iv.start, iv.end);
         }
         timeline.finalize();
-        let activity =
-            ComponentActivity::from_timeline(&timeline, schedule.makespan, sa_weighted_spatial);
+        let activity = ComponentActivity::from_timeline(
+            &timeline,
+            schedule.makespan,
+            self.sa_weighted_spatial,
+        );
         SimulationResult {
             chip: self.chip.clone(),
+            profiles: Arc::clone(&self.profiles),
             timings,
             releases,
             activity,
@@ -515,9 +526,15 @@ impl PreparedSimulator {
 }
 
 /// Result of simulating one compiled graph on one chip.
+///
+/// Per-anchor data comes in two halves at the same index: the lean
+/// per-run [`OpTiming`] spans ([`SimulationResult::timings`]) and the
+/// static [`OpProfile`]s ([`SimulationResult::profiles`]), which every
+/// replay of one [`PreparedSimulator`] shares instead of copying.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulationResult {
     chip: ChipConfig,
+    profiles: Arc<[OpProfile]>,
     timings: Vec<OpTiming>,
     /// `releases[k]`: earliest cycle anchor `k` was allowed to issue (all
     /// zeros for a cycle-0 batch run).
@@ -538,10 +555,17 @@ impl SimulationResult {
         &self.chip
     }
 
-    /// Per-operator timings in execution order.
+    /// Per-anchor scheduled spans of this run, in anchor order.
     #[must_use]
     pub fn timings(&self) -> &[OpTiming] {
         &self.timings
+    }
+
+    /// Per-anchor static profiles (name, unit, serial cost, bytes, FLOPs,
+    /// SRAM bytes), in the same order as [`SimulationResult::timings`].
+    #[must_use]
+    pub fn profiles(&self) -> &[OpProfile] {
+        &self.profiles
     }
 
     /// The last-issued timing whose operator name starts with `prefix`,
@@ -550,7 +574,8 @@ impl SimulationResult {
     /// rather than indexing on faith.
     #[must_use]
     pub fn last_timing_with_prefix(&self, prefix: &str) -> Option<&OpTiming> {
-        self.timings.iter().rfind(|t| t.name.starts_with(prefix))
+        let index = self.profiles.iter().rposition(|p| p.name.starts_with(prefix))?;
+        Some(&self.timings[index])
     }
 
     /// Release cycle the schedule honoured for anchor `index` (0 unless
@@ -604,7 +629,7 @@ impl SimulationResult {
     /// at most this; the difference is the hidden DMA/dispatch time.
     #[must_use]
     pub fn serial_cycles(&self) -> u64 {
-        self.timings.iter().map(|t| t.serial_duration_cycles).sum()
+        self.profiles.iter().map(|p| p.serial_duration_cycles).sum()
     }
 
     /// Total execution time in seconds.
@@ -616,7 +641,7 @@ impl SimulationResult {
     /// Total FLOPs executed.
     #[must_use]
     pub fn total_flops(&self) -> f64 {
-        self.timings.iter().map(|t| t.flops).sum()
+        self.profiles.iter().map(|p| p.flops).sum()
     }
 
     /// Achieved FLOP/s of the chip over the whole execution.
@@ -634,9 +659,10 @@ impl SimulationResult {
     /// input to the Figure 7 CDF, which weights demand by execution time.
     #[must_use]
     pub fn sram_demand_profile(&self) -> Vec<(f64, u64)> {
-        self.timings
+        self.profiles
             .iter()
-            .map(|t| (t.sram_demand_bytes as f64 / (1024.0 * 1024.0), t.duration_cycles))
+            .zip(&self.timings)
+            .map(|(p, t)| (p.sram_demand_bytes as f64 / (1024.0 * 1024.0), t.duration_cycles))
             .collect()
     }
 
@@ -822,10 +848,11 @@ mod tests {
         let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
         let result = Simulator::new(chip).run(&compiled);
         assert_eq!(result.timings().len(), compiled.num_anchors());
-        for t in result.timings() {
+        assert_eq!(result.profiles().len(), compiled.num_anchors());
+        for (p, t) in result.profiles().iter().zip(result.timings()) {
             assert!(t.duration_cycles >= DISPATCH_OVERHEAD_CYCLES);
-            assert!(t.sa_active_cycles <= t.duration_cycles);
-            assert!(t.hbm_active_cycles <= t.duration_cycles);
+            assert!(p.sa_active_cycles <= t.duration_cycles);
+            assert!(p.hbm_active_cycles <= t.duration_cycles);
             assert!(t.compute_start_cycle >= t.start_cycle);
         }
     }
@@ -856,17 +883,17 @@ mod tests {
     #[test]
     fn overlap_never_starts_an_op_before_its_producer_finishes() {
         for (label, producers, result) in table4_simulations() {
-            let timings = result.timings();
-            for (timing, producers) in timings.iter().zip(producers) {
+            let (timings, profiles) = (result.timings(), result.profiles());
+            for ((timing, profile), producers) in timings.iter().zip(profiles).zip(producers) {
                 for &p in producers {
                     let producer = &timings[p];
                     let producer_finish = producer.start_cycle + producer.duration_cycles;
                     assert!(
                         timing.compute_start_cycle >= producer_finish,
                         "{label}: {} computes at {} before producer {} finishes at {}",
-                        timing.name,
+                        profile.name,
                         timing.compute_start_cycle,
-                        producer.name,
+                        profiles[p].name,
                         producer_finish
                     );
                 }
@@ -963,9 +990,10 @@ mod tests {
         let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
         let result = Simulator::new(chip).run(&compiled);
         let first_gather = result
-            .timings()
+            .profiles()
             .iter()
-            .find(|t| t.name.ends_with(".lookup"))
+            .position(|p| p.name.ends_with(".lookup"))
+            .map(|k| result.timings()[k])
             .expect("DLRM has gather anchors");
         assert_eq!(first_gather.compute_start_cycle, 0, "gathers are DAG sources");
         let mlp_tail = result
@@ -1015,15 +1043,15 @@ mod tests {
         // Structural witness of the overlap: a later request's gather
         // streams while the first request's all-to-all is still on the
         // wire — impossible in the chained lowering.
-        let timings = batched.timings();
-        let first_a2a = timings
+        let (timings, profiles) = (batched.timings(), batched.profiles());
+        let first_a2a = profiles
             .iter()
-            .find(|t| t.name == "embedding_alltoall")
+            .position(|p| p.name == "embedding_alltoall")
             .expect("distributed DLRM has an all-to-all");
-        let a2a_finish = first_a2a.start_cycle + first_a2a.duration_cycles;
+        let a2a_finish = timings[first_a2a].start_cycle + timings[first_a2a].duration_cycles;
         assert!(
-            timings.iter().any(|t| t.op_index > first_a2a.op_index
-                && t.name.ends_with(".lookup")
+            profiles.iter().zip(timings).any(|(p, t)| p.op_index > first_a2a
+                && p.name.ends_with(".lookup")
                 && t.compute_start_cycle < a2a_finish),
             "no later gather overlapped the first request's all-to-all"
         );
@@ -1052,8 +1080,8 @@ mod tests {
         let full = simulate(Workload::dlrm(DlrmSize::Small), 1);
         let tail = full.last_timing_with_prefix("bottom_mlp").expect("full DLRM has a bottom MLP");
         let last_index =
-            full.timings().iter().rposition(|t| t.name.starts_with("bottom_mlp")).unwrap();
-        assert_eq!(tail.op_index, last_index);
+            full.profiles().iter().rposition(|p| p.name.starts_with("bottom_mlp")).unwrap();
+        assert!(std::ptr::eq(tail, &full.timings()[last_index]));
     }
 
     #[test]
@@ -1070,11 +1098,27 @@ mod tests {
         assert_eq!(prepared.num_ops(), compiled.len());
         let mut scratch = crate::timeline::EngineScratch::default();
         let staggered: Vec<u64> = (0..compiled.len() as u64).map(|i| i * 37 % 5000).collect();
+        let one_shot = sim.run(&compiled);
         for releases in [&[] as &[u64], &vec![0; compiled.len()][..], &staggered[..]] {
             let fresh = sim.run_with_releases(&compiled, releases);
             let replayed = prepared.run_with_scratch(releases, &mut scratch);
             assert_eq!(fresh, replayed, "prepared replay diverged from the one-shot engine");
+            assert_eq!(replayed.profiles(), one_shot.profiles());
         }
+    }
+
+    #[test]
+    fn replays_of_one_prepared_simulator_share_their_profiles() {
+        // The static per-anchor half of a result is built once in
+        // `prepare`; replays hand out the same allocation, never a copy.
+        let (chip, compiled) = compile(Workload::dlrm(DlrmSize::Small).with_batch(64), 1);
+        let prepared = Simulator::new(chip).prepare(&compiled);
+        let staggered: Vec<u64> = (0..compiled.len() as u64).map(|i| i * 53 % 7000).collect();
+        let first = prepared.run_with_releases(&[]);
+        let second = prepared.run_with_releases(&staggered);
+        assert_ne!(first.timings(), second.timings(), "the releases must move the schedule");
+        assert!(std::ptr::eq(first.profiles(), second.profiles()));
+        assert!(std::ptr::eq(first.clone().profiles(), first.profiles()));
     }
 
     // ---- sram_demand_percentile_mib boundary semantics ----
@@ -1088,12 +1132,14 @@ mod tests {
     fn two_bucket_result() -> SimulationResult {
         let result = simulate(Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode), 1);
         let mut doctored = result;
+        let mut profiles = doctored.profiles[..2].to_vec();
         doctored.timings.truncate(2);
         let mib = 1024 * 1024;
-        doctored.timings[0].sram_demand_bytes = mib;
+        profiles[0].sram_demand_bytes = mib;
         doctored.timings[0].duration_cycles = 50;
-        doctored.timings[1].sram_demand_bytes = 3 * mib;
+        profiles[1].sram_demand_bytes = 3 * mib;
         doctored.timings[1].duration_cycles = 50;
+        doctored.profiles = profiles.into();
         doctored
     }
 

@@ -72,6 +72,6 @@ pub use timeline::{
     BusyTimeline, CollectiveSchedule, CycleInterval, EngineScratch, IdleBucket, IdleHistogram,
     Resource, ResourceId, ResourceSet, ResourceTimeline, RunCounters, Schedule,
 };
-pub use timing::OpTiming;
+pub use timing::{OpProfile, OpTiming};
 pub use trace::{TraceRecorder, TraceSlice};
 pub use validation::{correlation_r2, ValidationPoint, ValidationReport};

@@ -1,18 +1,16 @@
-//! Per-operator timing and activity records produced by the simulator.
+//! Per-operator records produced by the simulator: the release-independent
+//! [`OpProfile`] of each executed (anchor) operator, built once when a
+//! graph is prepared, and the per-run [`OpTiming`] span the schedule gives
+//! it.
 
 use serde::{Deserialize, Serialize};
 
 use npu_models::ExecutionUnit;
 
-/// Timing and component activity of one executed (anchor) operator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Where one executed (anchor) operator sat on the global clock in one
+/// run. Its static profile is the [`OpProfile`] at the same index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpTiming {
-    /// Index of the operator in the compiled graph.
-    pub op_index: usize,
-    /// Operator name.
-    pub name: String,
-    /// Execution unit the operator ran on.
-    pub unit: ExecutionUnit,
     /// First cycle (global clock) at which any phase of the operator —
     /// including its DMA prefetch — occupies hardware.
     pub start_cycle: u64,
@@ -22,6 +20,27 @@ pub struct OpTiming {
     /// Wall-clock duration of the operator in chip cycles: its occupancy
     /// span on the global clock, from `start_cycle` to completion.
     pub duration_cycles: u64,
+}
+
+impl OpTiming {
+    /// Duration in seconds at the given clock frequency.
+    #[must_use]
+    pub fn duration_seconds(&self, frequency_hz: f64) -> f64 {
+        self.duration_cycles as f64 / frequency_hz
+    }
+}
+
+/// Release-independent profile of one executed (anchor) operator: what it
+/// is, what it costs in isolation and what it moves. Identical for every
+/// replay of a prepared graph, so all of them share one copy.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OpProfile {
+    /// Index of the operator in the compiled graph's anchor order.
+    pub op_index: usize,
+    /// Operator name.
+    pub name: String,
+    /// Execution unit the operator ran on.
+    pub unit: ExecutionUnit,
     /// What the operator would cost in isolation on the old serial engine
     /// (intra-operator overlap only). The sum of these over a graph is the
     /// serial baseline the overlapped makespan is compared against.
@@ -50,65 +69,12 @@ pub struct OpTiming {
     pub sram_demand_bytes: u64,
 }
 
-impl OpTiming {
-    /// Duration in seconds at the given clock frequency.
-    #[must_use]
-    pub fn duration_seconds(&self, frequency_hz: f64) -> f64 {
-        self.duration_cycles as f64 / frequency_hz
-    }
-
-    /// SA temporal utilization within this operator.
-    #[must_use]
-    pub fn sa_temporal_utilization(&self) -> f64 {
-        if self.duration_cycles == 0 {
-            0.0
-        } else {
-            self.sa_active_cycles as f64 / self.duration_cycles as f64
-        }
-    }
-
-    /// VU temporal utilization within this operator.
-    #[must_use]
-    pub fn vu_temporal_utilization(&self) -> f64 {
-        if self.duration_cycles == 0 {
-            0.0
-        } else {
-            self.vu_active_cycles as f64 / self.duration_cycles as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn timing() -> OpTiming {
-        OpTiming {
-            op_index: 0,
-            name: "mm".into(),
-            unit: ExecutionUnit::Sa,
-            start_cycle: 0,
-            compute_start_cycle: 0,
-            duration_cycles: 1000,
-            serial_duration_cycles: 1000,
-            sa_active_cycles: 800,
-            sa_spatial_utilization: 0.9,
-            vu_active_cycles: 100,
-            hbm_active_cycles: 200,
-            ici_active_cycles: 0,
-            hbm_bytes: 1 << 20,
-            ici_bytes: 0,
-            flops: 1e9,
-            sram_live_bytes: 1 << 22,
-            sram_demand_bytes: 1 << 23,
-        }
-    }
-
-    #[test]
-    fn utilization_ratios() {
-        let t = timing();
-        assert!((t.sa_temporal_utilization() - 0.8).abs() < 1e-12);
-        assert!((t.vu_temporal_utilization() - 0.1).abs() < 1e-12);
+        OpTiming { start_cycle: 0, compute_start_cycle: 0, duration_cycles: 1000 }
     }
 
     #[test]
@@ -121,7 +87,6 @@ mod tests {
     fn zero_duration_is_handled() {
         let mut t = timing();
         t.duration_cycles = 0;
-        assert_eq!(t.sa_temporal_utilization(), 0.0);
-        assert_eq!(t.vu_temporal_utilization(), 0.0);
+        assert_eq!(t.duration_seconds(1e9), 0.0);
     }
 }

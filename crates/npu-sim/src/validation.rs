@@ -39,11 +39,11 @@ impl ValidationReport {
     /// Builds the validation report for one simulation.
     #[must_use]
     pub fn for_simulation(result: &SimulationResult, spec: &NpuSpec) -> Self {
-        let mut points = Vec::with_capacity(result.timings().len());
-        for t in result.timings() {
-            let compute_s = t.flops / spec.peak_flops();
-            let memory_s = t.hbm_bytes as f64 / (spec.hbm_bandwidth_gbps * 1.0e9);
-            let ici_s = t.ici_bytes as f64 / (spec.ici_total_gbps() * 1.0e9);
+        let mut points = Vec::with_capacity(result.profiles().len());
+        for p in result.profiles() {
+            let compute_s = p.flops / spec.peak_flops();
+            let memory_s = p.hbm_bytes as f64 / (spec.hbm_bandwidth_gbps * 1.0e9);
+            let ici_s = p.ici_bytes as f64 / (spec.ici_total_gbps() * 1.0e9);
             let reference_s = compute_s.max(memory_s).max(ici_s).max(1e-9);
             // The roofline models an operator in isolation, so it is
             // compared against the operator's serial service time — its
@@ -51,7 +51,7 @@ impl ValidationReport {
             // for a producer while the prefetch already streamed), which a
             // per-operator profile on hardware would not attribute to the
             // operator either.
-            let simulated_s = t.serial_duration_cycles as f64 / spec.frequency_hz();
+            let simulated_s = p.serial_duration_cycles as f64 / spec.frequency_hz();
             points.push(ValidationPoint {
                 reference_us: reference_s * 1.0e6,
                 simulated_us: simulated_s * 1.0e6,

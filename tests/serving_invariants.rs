@@ -69,12 +69,12 @@ fn schedule_digest(sim: &SimulationResult) -> u64 {
 fn check_release_causality(outcome: &ServingOutcome, label: &str) {
     let sim = &outcome.simulation;
     let mut released_late = 0usize;
-    for (k, t) in sim.timings().iter().enumerate() {
+    for (k, (p, t)) in sim.profiles().iter().zip(sim.timings()).enumerate() {
         let release = sim.release_of(k);
         assert!(
             t.start_cycle >= release,
             "{label}: anchor {k} ({}) starts at {} before its release {release}",
-            t.name,
+            p.name,
             t.start_cycle
         );
         if release > 0 {

@@ -228,16 +228,16 @@ fn full_pipeline_segment_timelines_satisfy_the_invariants() {
         // Allocator dominance (the non-structural direction): while an
         // operator's main phase runs, the instantaneous live union must
         // cover at least the live bytes the allocator reported for that
-        // anchor (`OpTiming::sram_live_bytes`); a lifetime mapped onto
+        // anchor (`OpProfile::sram_live_bytes`); a lifetime mapped onto
         // the wrong operator's span fails this.
-        for timing in result.timings() {
+        for (profile, timing) in result.profiles().iter().zip(result.timings()) {
             let at = timing.compute_start_cycle;
             assert!(
-                tl.live_bytes_at(at) >= timing.sram_live_bytes,
+                tl.live_bytes_at(at) >= profile.sram_live_bytes,
                 "{label}: at cycle {at} the union ({}) undercounts {}'s live bytes ({})",
                 tl.live_bytes_at(at),
-                timing.name,
-                timing.sram_live_bytes
+                profile.name,
+                profile.sram_live_bytes
             );
         }
     }
