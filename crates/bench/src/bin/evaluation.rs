@@ -189,7 +189,7 @@ fn main() {
         ]
     };
     for (workload, chips) in setpm_set {
-        let rate = setpm_rate(&workload, NpuGeneration::D, chips, 32);
-        println!("{:<28} {:>8.2} setpm / 1k cycles", workload.label(), rate);
+        let rate = setpm_rate(&workload, NpuGeneration::D, chips);
+        println!("{:<28} {:>9.2e} setpm / 1k cycles", workload.label(), rate);
     }
 }

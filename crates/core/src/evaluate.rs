@@ -743,9 +743,9 @@ const TRACKED: [ComponentKind; 5] = [
 
 /// Idle-interval lengths of one busy track over `[0, total_cycles)`.
 #[derive(Debug)]
-struct IdleLens {
+pub(crate) struct IdleLens {
     /// Every idle interval (the energy walk).
-    all: Vec<u64>,
+    pub(crate) all: Vec<u64>,
     /// How many leading intervals are followed by more work. A trailing
     /// interval, including the single `[0, makespan)` interval of a
     /// component the workload never touches, ends the execution and
@@ -754,7 +754,7 @@ struct IdleLens {
 }
 
 impl IdleLens {
-    fn of(gaps: &[npu_sim::CycleInterval], total_cycles: u64) -> Self {
+    pub(crate) fn of(gaps: &[npu_sim::CycleInterval], total_cycles: u64) -> Self {
         // Gap ends never decrease, so the gaps ending before
         // `total_cycles` are a prefix.
         IdleLens {
@@ -764,7 +764,7 @@ impl IdleLens {
     }
 
     /// The idle intervals followed by more work.
-    fn waking(&self) -> &[u64] {
+    pub(crate) fn waking(&self) -> &[u64] {
         &self.all[..self.waking]
     }
 }

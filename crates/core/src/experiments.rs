@@ -8,14 +8,12 @@
 use serde::{Deserialize, Serialize};
 
 use npu_arch::{ComponentKind, NpuGeneration};
-use npu_compiler::instrument::{instrument_vu, SetPmPolicy};
-use npu_compiler::vliw::{expand_operator, ExpansionLimits};
-use npu_compiler::Compiler;
 use npu_models::{EvalConfig, Workload};
 use npu_power::{CarbonModel, GatingParams, LeakageRatios, LifespanPoint};
 
 use crate::designs::Design;
-use crate::evaluate::{Evaluator, WorkloadEvaluation};
+use crate::evaluate::{Evaluator, IdleLens, WorkloadEvaluation};
+use crate::policy::PolicyKind;
 
 /// One row of the characterization study (Figures 2–9): a workload on a
 /// given NPU generation.
@@ -198,37 +196,31 @@ pub fn parallel_evaluation_sweep(
     })
 }
 
-/// Figure 20: `setpm` instructions per 1,000 cycles for a workload, derived
-/// by expanding a sample of its compiled operators into VLIW schedules and
-/// running the instrumentation pass over them.
+/// Figure 20: `setpm` instructions per 1,000 cycles for a workload, counted
+/// on the simulated timeline the energy rows are priced on.
+///
+/// Every VU idle interval that `ReGate-Full`'s own VU policy gates costs
+/// one `setpm off`; each of those followed by more work also costs one
+/// `setpm on`. The timeline resolves VU activity per operator, so only
+/// the gaps between operators are counted.
+///
+/// # Panics
+///
+/// Panics if the deployment is infeasible (see [`Evaluator::evaluate`]).
 #[must_use]
-pub fn setpm_rate(
-    workload: &Workload,
-    generation: NpuGeneration,
-    num_chips: usize,
-    sample: usize,
-) -> f64 {
-    let spec = npu_arch::NpuSpec::generation(generation);
-    let chip = npu_arch::ChipConfig::new(generation, num_chips);
-    let parallelism = workload
-        .default_parallelism(&spec, num_chips)
-        .unwrap_or_else(|| npu_arch::ParallelismConfig::new(num_chips, 1, 1));
-    let graph = workload.build_graph(&parallelism);
-    let compiled = Compiler::new(chip.spec().clone()).compile(&graph);
-    let policy = SetPmPolicy::new(GatingParams::default().vu_bet, GatingParams::default().vu_delay);
-    let mut setpms = 0usize;
-    let mut cycles = 0u64;
-    for op in compiled.anchors().take(sample) {
-        let (program, _) = expand_operator(op, &spec, ExpansionLimits { max_tiles: 16 });
-        let result = instrument_vu(&program, policy);
-        setpms += result.setpm_inserted;
-        cycles += result.program.issue_cycles();
-    }
-    if cycles == 0 {
-        0.0
-    } else {
-        setpms as f64 * 1000.0 / cycles as f64
-    }
+pub fn setpm_rate(workload: &Workload, generation: NpuGeneration, num_chips: usize) -> f64 {
+    let evaluator = Evaluator::new(generation);
+    let eval = evaluator.evaluate(workload, num_chips);
+    let simulation = &eval.simulation;
+    let total_cycles = simulation.total_cycles();
+    let gaps = simulation.busy_timeline().idle_intervals(ComponentKind::Vu, total_cycles);
+    let idle = IdleLens::of(&gaps, total_cycles);
+    let vu = PolicyKind::Preset(Design::ReGateFull)
+        .config(evaluator.gating(), simulation.chip().spec())
+        .vu;
+    let off = vu.walk_intervals(&idle.all, idle.waking()).gated_intervals;
+    let on = vu.walk_intervals(idle.waking(), idle.waking()).gated_intervals;
+    (off + on) as f64 * 1000.0 / total_cycles as f64
 }
 
 /// Figure 21/22 sensitivity rows: energy savings of each design under a
@@ -427,15 +419,26 @@ mod tests {
     }
 
     #[test]
-    fn setpm_rate_is_below_structural_bound() {
-        let rate = setpm_rate(
-            &Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Prefill),
-            NpuGeneration::D,
-            1,
-            24,
-        );
-        assert!(rate >= 0.0);
-        assert!(rate < 2.0 * 1000.0 / 32.0, "setpm rate {rate} exceeds the Figure 20 bound");
+    fn setpm_rate_counts_the_gateable_vu_gaps() {
+        let workload = Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Prefill);
+        let rate = setpm_rate(&workload, NpuGeneration::D, 1);
+
+        // Independent count: a `setpm off` for every VU gap of at least the
+        // VU break-even time, and a `setpm on` for each one that ends
+        // before the trace does.
+        let sim = Evaluator::new(NpuGeneration::D).evaluate(&workload, 1).simulation;
+        let total = sim.total_cycles();
+        let vu_bet = GatingParams::default().vu_bet;
+        let gated: Vec<_> = sim
+            .busy_timeline()
+            .idle_intervals(ComponentKind::Vu, total)
+            .into_iter()
+            .filter(|iv| iv.len() >= vu_bet)
+            .collect();
+        let wakes = gated.iter().filter(|iv| iv.end < total).count();
+        assert!(!gated.is_empty(), "prefill has gateable VU gaps");
+        let expected = (gated.len() + wakes) as f64 * 1000.0 / total as f64;
+        assert_eq!(rate, expected);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! This crate describes the hardware of a TPU-like neural processing unit
 //! (NPU) as used by the ReGate reproduction: chip generations, the
 //! components inside a chip (systolic arrays, vector units, SRAM, HBM, ICI,
-//! DMA engine), pod topologies, multi-chip parallelism configurations, and
-//! the service-level-objective (SLO) model used to select chip counts.
+//! DMA engine), pod topologies, and multi-chip parallelism configurations.
 //!
 //! The numbers follow Table 2 of the paper ("NPU specifications used in our
 //! study"): NPU-A/B/C/D are derived from TPUv2/3/4/5p and NPU-E is a
@@ -29,7 +28,6 @@ pub mod chip;
 pub mod component;
 pub mod memory;
 pub mod parallelism;
-pub mod slo;
 pub mod spec;
 pub mod topology;
 
@@ -37,6 +35,5 @@ pub use chip::ChipConfig;
 pub use component::{ComponentId, ComponentKind, PowerDomain};
 pub use memory::{HbmKind, SramGeometry};
 pub use parallelism::{ParallelismConfig, ShardingAxis};
-pub use slo::{SloSpec, SloTarget};
 pub use spec::{NpuGeneration, NpuSpec, TechnologyNode};
 pub use topology::{FabricKind, Link, LinkGraph, PodTopology, TorusKind};

@@ -7,7 +7,7 @@
 //! backend: *component idleness analysis* and *`setpm` instrumentation*
 //! (§4.3), inserted after instruction scheduling and SRAM allocation.
 //!
-//! This crate implements that backend:
+//! This crate implements the operator-level backend:
 //!
 //! * [`tiling`] — per-operator tile selection, SRAM demand (the paper's
 //!   Figure 7 metric), and post-tiling HBM traffic;
@@ -17,12 +17,13 @@
 //!   by the performance simulator ([`CompiledGraph`]);
 //! * [`sram_alloc`] — double-buffered scratchpad allocation with buffer
 //!   lifetimes (the input to software SRAM power gating);
-//! * [`vliw`] — expansion of a compiled operator into a representative VLIW
-//!   instruction schedule (used for instruction-level analyses such as
-//!   Figure 15 and Figure 20);
-//! * [`idleness`] — per-functional-unit idle-interval extraction from a
-//!   VLIW program;
-//! * [`instrument`] — the BET-based `setpm` instrumentation pass.
+//! * [`collective`] — per-hop lowering of ring collectives onto an
+//!   explicit link graph.
+//!
+//! The two ReGate passes work on the simulated timeline rather than on a
+//! per-tile instruction schedule: `npu-sim` finds each component's idle
+//! intervals, and the `regate` crate prices the `setpm` pairs a compiler
+//! would emit for them (and counts them for Figure 20).
 //!
 //! ## Example
 //!
@@ -44,17 +45,12 @@
 
 pub mod collective;
 pub mod fusion;
-pub mod idleness;
-pub mod instrument;
 pub mod lowering;
 pub mod sram_alloc;
 pub mod tiling;
-pub mod vliw;
 
 pub use collective::CollectivePlan;
 pub use fusion::FusionPlan;
-pub use idleness::{IdleInterval, IdlenessReport};
-pub use instrument::{InstrumentationResult, SetPmPolicy};
 pub use lowering::{CompiledGraph, CompiledOp, Compiler};
 pub use sram_alloc::{BufferLifetime, SegmentLifetime, SramAllocation, SramPeak};
 pub use tiling::TileChoice;

@@ -35,6 +35,9 @@ pub enum DecodeError {
     UnknownFuType(u8),
     /// The bitmap immediate does not fit in the 8-bit encoding field.
     BitmapTooWide(u32),
+    /// The functional-unit type does not match the variant: the SRAM-range
+    /// variant addresses only SRAM, and the bitmap variants never do.
+    FuTypeMismatch(FunctionalUnitType),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -44,6 +47,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::UnknownFuType(v) => write!(f, "unknown functional unit type {v}"),
             DecodeError::BitmapTooWide(bits) => {
                 write!(f, "bitmap {bits:#b} does not fit the 8-bit immediate field")
+            }
+            DecodeError::FuTypeMismatch(fu) => {
+                write!(f, "functional unit type {fu} does not match the setpm variant")
             }
         }
     }
@@ -55,6 +61,16 @@ const VARIANT_SRAM: u32 = 0;
 const VARIANT_FU_REG: u32 = 1;
 const VARIANT_FU_IMM: u32 = 2;
 
+/// Only the SRAM-range variant addresses SRAM, and it addresses nothing else.
+fn check_fu_type(pm: &SetPm, fu_type: FunctionalUnitType) -> Result<(), DecodeError> {
+    let sram_variant = matches!(pm, SetPm::SramRange { .. });
+    if sram_variant == (fu_type == FunctionalUnitType::Sram) {
+        Ok(())
+    } else {
+        Err(DecodeError::FuTypeMismatch(fu_type))
+    }
+}
+
 /// Encodes a `setpm` into its 32-bit miscellaneous-slot word.
 ///
 /// The SRAM variant encodes only the register operands (the resolved
@@ -65,8 +81,10 @@ const VARIANT_FU_IMM: u32 = 2;
 /// # Errors
 ///
 /// Returns [`DecodeError::BitmapTooWide`] if an immediate bitmap does not
-/// fit the 8-bit field.
+/// fit the 8-bit field, and [`DecodeError::FuTypeMismatch`] if a bitmap
+/// variant names SRAM.
 pub fn encode_setpm(pm: &SetPm) -> Result<EncodedSetPm, DecodeError> {
+    check_fu_type(pm, pm.fu_type())?;
     let word = match *pm {
         SetPm::SramRange { start_reg, end_reg, mode, .. } => {
             (u32::from(start_reg.0) << 24)
@@ -98,7 +116,8 @@ pub fn encode_setpm(pm: &SetPm) -> Result<EncodedSetPm, DecodeError> {
 ///
 /// # Errors
 ///
-/// Returns an error if the variant or functional-unit type field is invalid.
+/// Returns an error if the variant or functional-unit type field is
+/// invalid, or if the type does not match the variant.
 ///
 /// # Panics
 ///
@@ -110,25 +129,27 @@ pub fn decode_setpm(word: EncodedSetPm) -> Result<SetPm, DecodeError> {
     let mode = PowerMode::decode(((w >> 11) & 0b11) as u8).expect("2-bit mode always decodes");
     let fu_bits = ((w >> 13) & 0b111) as u8;
     let fu_type = FunctionalUnitType::decode(fu_bits).ok_or(DecodeError::UnknownFuType(fu_bits))?;
-    match variant {
-        VARIANT_SRAM => Ok(SetPm::SramRange {
+    let pm = match variant {
+        VARIANT_SRAM => SetPm::SramRange {
             start_reg: ScalarReg(((w >> 24) & 0xFF) as u8),
             end_reg: ScalarReg(((w >> 16) & 0xFF) as u8),
             start_addr: 0,
             end_addr: 0,
             mode,
-        }),
-        VARIANT_FU_REG => Ok(SetPm::FuRegister {
+        },
+        VARIANT_FU_REG => SetPm::FuRegister {
             bitmap_reg: ScalarReg(((w >> 24) & 0xFF) as u8),
             bitmap: FuBitmap::empty(),
             fu_type,
             mode,
-        }),
+        },
         VARIANT_FU_IMM => {
-            Ok(SetPm::FuImmediate { bitmap: FuBitmap::from_bits((w >> 3) & 0xFF), fu_type, mode })
+            SetPm::FuImmediate { bitmap: FuBitmap::from_bits((w >> 3) & 0xFF), fu_type, mode }
         }
-        other => Err(DecodeError::UnknownVariant(other as u8)),
-    }
+        other => return Err(DecodeError::UnknownVariant(other as u8)),
+    };
+    check_fu_type(&pm, fu_type)?;
+    Ok(pm)
 }
 
 #[cfg(test)]
@@ -209,6 +230,40 @@ mod tests {
     }
 
     #[test]
+    fn bitmap_variants_cannot_name_sram() {
+        let imm = SetPm::functional_units(
+            FuBitmap::from_bits(1),
+            FunctionalUnitType::Sram,
+            PowerMode::Off,
+        );
+        let reg = SetPm::FuRegister {
+            bitmap_reg: ScalarReg(2),
+            bitmap: FuBitmap::from_bits(1),
+            fu_type: FunctionalUnitType::Sram,
+            mode: PowerMode::Off,
+        };
+        for pm in [imm, reg] {
+            assert_eq!(
+                encode_setpm(&pm),
+                Err(DecodeError::FuTypeMismatch(FunctionalUnitType::Sram))
+            );
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_variant_type_mismatches() {
+        // An SRAM-range word whose type field names the vector units.
+        assert_eq!(
+            decode_setpm(EncodedSetPm(0x2000)),
+            Err(DecodeError::FuTypeMismatch(FunctionalUnitType::Vu))
+        );
+        // A bitmap word whose type field names SRAM.
+        let word =
+            EncodedSetPm((u32::from(FunctionalUnitType::Sram.encode()) << 13) | VARIANT_FU_IMM);
+        assert_eq!(decode_setpm(word), Err(DecodeError::FuTypeMismatch(FunctionalUnitType::Sram)));
+    }
+
+    #[test]
     fn error_display_messages() {
         assert!(DecodeError::UnknownVariant(5).to_string().contains("variant"));
         assert!(DecodeError::BitmapTooWide(0x100).to_string().contains("8-bit"));
@@ -219,21 +274,24 @@ mod tests {
 mod proptests {
     use super::*;
 
-    // The immediate-variant domain (256 bitmaps x 6 FU types x 4 modes) is
-    // small enough to sweep exhaustively, which is strictly stronger than
-    // the random sampling a property-testing framework would do.
+    // The immediate-variant domain (256 bitmaps x 5 non-SRAM FU types x 4
+    // modes) is small enough to sweep exhaustively, which is strictly
+    // stronger than the random sampling a property-testing framework would do.
 
     fn all_immediates() -> impl Iterator<Item = SetPm> {
         (0u32..=0xFF).flat_map(|bits| {
-            (0u8..6).flat_map(move |fu| {
-                (0u8..4).map(move |mode| {
-                    SetPm::functional_units(
-                        FuBitmap::from_bits(bits),
-                        FunctionalUnitType::decode(fu).unwrap(),
-                        PowerMode::decode(mode).unwrap(),
-                    )
+            FunctionalUnitType::ALL
+                .into_iter()
+                .filter(|&fu| fu != FunctionalUnitType::Sram)
+                .flat_map(move |fu| {
+                    (0u8..4).map(move |mode| {
+                        SetPm::functional_units(
+                            FuBitmap::from_bits(bits),
+                            fu,
+                            PowerMode::decode(mode).unwrap(),
+                        )
+                    })
                 })
-            })
         })
     }
 

@@ -1,4 +1,4 @@
-//! # npu-isa — statically scheduled VLIW ISA with the ReGate power extension
+//! # npu-isa — the ReGate `setpm` power instruction
 //!
 //! NPUs in the TPU family execute statically scheduled VLIW instruction
 //! bundles: every cycle, the in-order core issues one bundle whose slots
@@ -14,46 +14,33 @@
 //! * the power-mode and functional-unit vocabulary ([`PowerMode`],
 //!   [`FunctionalUnitType`], [`FuBitmap`]);
 //! * the `setpm` instruction with its three encoding variants
-//!   ([`SetPm`], Figure 14 of the paper) and a binary encoder/decoder;
-//! * slot operations and VLIW bundles ([`SlotOp`], [`VliwBundle`]);
-//! * a [`Program`] container with a builder, per-slot statistics, and a
-//!   textual disassembly used by the examples and the instrumentation
-//!   tests.
+//!   ([`SetPm`], Figure 14 of the paper) and a binary encoder/decoder
+//!   ([`encode::encode_setpm`], [`encode::decode_setpm`]).
 //!
 //! ## Example
 //!
 //! ```
-//! use npu_isa::{FuBitmap, FunctionalUnitType, PowerMode, Program, SetPm, SlotOp, VliwBundle};
+//! use npu_isa::encode::{decode_setpm, encode_setpm};
+//! use npu_isa::{FuBitmap, FunctionalUnitType, PowerMode, SetPm};
 //!
-//! let mut program = Program::new("matmul_postprocess");
-//! program.push(
-//!     VliwBundle::new()
-//!         .with_sa(0, SlotOp::sa_pop(8))
-//!         .with_vu(0, SlotOp::vu_add(128)),
+//! // Power off vector units 0 and 1.
+//! let off = SetPm::functional_units(
+//!     FuBitmap::from_indices(&[0, 1]),
+//!     FunctionalUnitType::Vu,
+//!     PowerMode::Off,
 //! );
-//! program.push(
-//!     VliwBundle::new()
-//!         .with_misc(SlotOp::SetPm(SetPm::functional_units(
-//!             FuBitmap::from_indices(&[0, 1]),
-//!             FunctionalUnitType::Vu,
-//!             PowerMode::Off,
-//!         ))),
-//! );
-//! assert_eq!(program.len(), 2);
-//! assert_eq!(program.setpm_count(), 1);
+//! let word = encode_setpm(&off).unwrap();
+//! assert_eq!(decode_setpm(word).unwrap(), off);
+//! assert_eq!(off.disassemble(), "setpm 0b11, vu, off");
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bundle;
 pub mod encode;
 pub mod power;
-pub mod program;
 pub mod setpm;
 
-pub use bundle::{SlotOp, VliwBundle};
 pub use encode::{DecodeError, EncodedSetPm};
 pub use power::{FuBitmap, FunctionalUnitType, PowerMode};
-pub use program::{Program, ProgramStats};
 pub use setpm::SetPm;

@@ -567,12 +567,6 @@ impl IdleHistogram {
         self.buckets(kind).iter().map(|b| b.total_cycles).sum()
     }
 
-    /// Number of idle intervals of one component.
-    #[must_use]
-    pub fn interval_count(&self, kind: ComponentKind) -> u64 {
-        self.buckets(kind).iter().map(|b| b.count).sum()
-    }
-
     /// Idle cycles of one component sitting in intervals at least
     /// `min_len` cycles long (bucket-resolution approximation of the
     /// cycles a gating policy with break-even `min_len` could recover).
@@ -703,12 +697,6 @@ impl RunCounters {
     #[must_use]
     pub fn for_set(set: &ResourceSet) -> Self {
         RunCounters { link_busy_cycles: vec![0; set.num_links()], ..RunCounters::default() }
-    }
-
-    /// Total link-busy cycles across every fabric link.
-    #[must_use]
-    pub fn total_link_busy_cycles(&self) -> u64 {
-        self.link_busy_cycles.iter().sum()
     }
 }
 

@@ -6,10 +6,13 @@
 //! * ReGate-Full saves roughly 8.5%–32.8% of energy, ~15.5% on average;
 //! * performance overhead of ReGate-Full is below 0.5%;
 //! * DLRM benefits the most, compute-bound LLM prefill the least;
-//! * operational carbon reduction is far larger than the energy savings.
+//! * operational carbon reduction is far larger than the energy savings;
+//! * the Figure 20 `setpm` rate stays under its structural bound.
 
 use npu_arch::NpuGeneration;
 use npu_models::{DlrmSize, LlamaModel, LlmPhase, Workload};
+use npu_power::GatingParams;
+use regate::experiments::setpm_rate;
 use regate::{Design, Evaluator};
 
 /// The evaluation set used by the claim tests: a light-weight version of
@@ -188,6 +191,26 @@ fn operational_carbon_reduction_is_31_to_63_percent() {
     }
     let mean = reductions.iter().sum::<f64>() / reductions.len() as f64;
     assert!((0.20..=0.70).contains(&mean), "mean carbon reduction {mean}");
+}
+
+#[test]
+fn setpm_rate_is_within_the_structural_bound_on_figure20_workloads() {
+    // Figure 20: every gated VU interval is at least `vu_bet` cycles long
+    // and costs at most one `setpm off` and one `setpm on`, so no trace can
+    // issue more than 2 × 1000 / vu_bet per 1,000 cycles.
+    let bound = 2000.0 / GatingParams::default().vu_bet as f64;
+    for (workload, chips) in [
+        (Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Training), 4),
+        (Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Prefill), 1),
+        (Workload::llm(LlamaModel::Llama2_13B, LlmPhase::Decode), 1),
+        (Workload::dlrm(DlrmSize::Medium), 8),
+    ] {
+        let rate = setpm_rate(&workload, NpuGeneration::D, chips);
+        assert!(
+            rate > 0.0 && rate <= bound,
+            "{workload}: setpm rate {rate} outside (0, {bound}] per 1k cycles"
+        );
+    }
 }
 
 #[test]
