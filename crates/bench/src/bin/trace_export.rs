@@ -17,8 +17,8 @@ use npu_arch::{ComponentKind, LinkGraph, NpuGeneration, NpuSpec, PodTopology, To
 use npu_compiler::CollectivePlan;
 use npu_models::{CollectiveKind, DlrmSize, Workload};
 use npu_power::energy::ChipUsage;
-use npu_power::{ComponentGating, EnergyBreakdown, GatingParams, PowerModel, PowerTimeline};
-use npu_power::{SramGateMode, NPU_DUTY_CYCLE};
+use npu_power::{EnergyBreakdown, GatePolicy, GatingParams, PowerModel, PowerPolicy};
+use npu_power::{PowerTimeline, SramGateMode, NPU_DUTY_CYCLE};
 use npu_serving::{ArrivalProcess, BatchPolicy, ServingSimulator};
 use npu_sim::pod::pipeline_trace;
 use npu_sim::{EngineScratch, ResourceTimeline, TraceRecorder};
@@ -109,7 +109,14 @@ fn pod_export(out_dir: &str) {
     let mut equivalent_seconds = BTreeMap::new();
     for kind in ComponentKind::ALL {
         let intervals = busy_of(kind);
-        let gating = ComponentGating::for_kind(&params, kind, SramGateMode::Drowsy);
+        // Logic components gate compiler-directed at their own BET and
+        // delay, SRAM in the drowsy retention mode; the peripheral logic
+        // cannot gate.
+        let gating = match kind {
+            ComponentKind::Other => None,
+            ComponentKind::Sram => Some(params.sram_mode_gating(SramGateMode::Drowsy)),
+            _ => Some(params.component_gating(kind, GatePolicy::CompilerDirected, 1.0)),
+        };
         tl.add_component(
             kind,
             model.static_power_w(kind),
@@ -121,11 +128,13 @@ fn pod_export(out_dir: &str) {
         let eq = match gating {
             None => makespan as f64,
             Some(g) => {
-                let gaps =
-                    schedule.timeline.idle_intervals(kind, makespan).into_iter().map(|iv| iv.len());
-                let walk =
-                    GatingParams::walk_idle_intervals(gaps, g.bet, g.delay, g.leak, g.policy);
-                busy_cycles as f64 + walk.equivalent_cycles
+                let gaps: Vec<u64> = schedule
+                    .timeline
+                    .idle_intervals(kind, makespan)
+                    .iter()
+                    .map(|iv| iv.len())
+                    .collect();
+                busy_cycles as f64 + g.walk_intervals(&gaps, &[]).equivalent_cycles
             }
         };
         equivalent_seconds.insert(kind, eq * spc);

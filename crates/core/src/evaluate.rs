@@ -7,8 +7,8 @@
 //! arrays), plus the component's **real idle intervals** — the gaps of the
 //! simulator's merged busy timeline — walked one by one against the
 //! design's break-even times, detection windows, and wake-up latencies
-//! ([`npu_power::GatingParams::walk_idle_intervals`],
-//! [`crate::pe_gating::sa_idle_intervals_cost`]). An interval shorter than
+//! (the [`crate::PolicyKind::config`] walks, built on
+//! [`npu_power::IntervalGating`]). An interval shorter than
 //! the break-even time stays at full power no matter how much aggregate
 //! idleness exists, which is exactly the distribution sensitivity of the
 //! paper's Figures 9/15. Static energy is the component's leakage power
@@ -553,9 +553,9 @@ impl Evaluator {
     ///
     /// The five design presets route through this same function; their
     /// configurations reproduce the original hard-coded arithmetic
-    /// bit-for-bit (the per-component [`PowerPolicy`] walks delegate to
-    /// the identical [`GatingParams::walk_idle_intervals`] and the stall
-    /// products are exact in f64 at these magnitudes).
+    /// bit-for-bit (the per-component [`PowerPolicy`] walks sum the
+    /// identical [`npu_power::IntervalGating`] per-interval cost and the
+    /// stall products are exact in f64 at these magnitudes).
     fn evaluate_policy_config(
         &self,
         config: &PolicyConfig,

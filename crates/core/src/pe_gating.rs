@@ -19,96 +19,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use npu_power::{GatePolicy, GatingParams};
-
-use crate::designs::Design;
-
-/// Cost of the systolic array's *real* idle intervals under one design:
-/// equivalent full-power cycles plus the wake-up stall cycles the design
-/// exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct SaIdleCost {
-    /// Equivalent full-power cycles of the walked idle intervals.
-    pub equivalent_cycles: f64,
-    /// Wake-up stall cycles exposed at the intervals' ends.
-    pub wakeup_stall_cycles: f64,
-}
-
-/// Walks the SA's idle intervals (from the simulator's busy timeline)
-/// against the design's gating mechanism.
-///
-/// `interval_lens` holds every idle interval; `waking_lens` only those
-/// followed by more SA work — a trailing interval (or a workload that
-/// never touches the SA at all) ends the execution and never exposes a
-/// wake-up, so only `waking_lens` contributes stall cycles.
-///
-/// `ReGate-Base` gates the whole array with hardware idle detection, so an
-/// interval breaks even only past the full-array BET and every gated
-/// interval exposes the full-array wake-up delay. PE-level designs
-/// (`ReGate-HW`/`ReGate-Full`) gate against the per-PE BET — two orders of
-/// magnitude shorter — and hide the wake-up in the diagonal `PE_on`
-/// wavefront (Figure 13): only intervals long enough for the whole array
-/// to have gone `Off` expose even a single PE's delay. This is exactly the
-/// interval-distribution sensitivity of Figures 9/15 that an aggregate
-/// idle-cycle count cannot express.
-#[must_use]
-pub fn sa_idle_intervals_cost(
-    design: Design,
-    params: &GatingParams,
-    interval_lens: &[u64],
-    waking_lens: &[u64],
-) -> SaIdleCost {
-    let leak = params.leakage.logic_off;
-    let total: u64 = interval_lens.iter().sum();
-    match design {
-        Design::NoPg => SaIdleCost { equivalent_cycles: total as f64, wakeup_stall_cycles: 0.0 },
-        Design::Ideal => SaIdleCost::default(),
-        Design::ReGateBase => {
-            let walk = GatingParams::walk_idle_intervals(
-                interval_lens.iter().copied(),
-                params.sa_full_bet,
-                params.sa_full_delay,
-                leak,
-                GatePolicy::IdleDetect,
-            );
-            let wakeups = waking_lens
-                .iter()
-                .filter(|&&len| GatingParams::gates_interval(params.sa_full_bet, len))
-                .count() as u64;
-            SaIdleCost {
-                equivalent_cycles: walk.equivalent_cycles,
-                wakeup_stall_cycles: (wakeups * params.sa_full_delay) as f64,
-            }
-        }
-        Design::ReGateHw | Design::ReGateFull => {
-            let policy = if design == Design::ReGateFull {
-                GatePolicy::CompilerDirected
-            } else {
-                GatePolicy::IdleDetect
-            };
-            let walk = GatingParams::walk_idle_intervals(
-                interval_lens.iter().copied(),
-                params.sa_pe_bet,
-                params.sa_pe_delay,
-                leak,
-                policy,
-            );
-            // Short intervals park PEs in `W_on`; the wavefront re-wakes
-            // them just-in-time at zero exposed latency. Only intervals
-            // past the full-array BET (the array fully drained to `Off`)
-            // expose the first PE's wake-up.
-            let full_off_wakeups = waking_lens
-                .iter()
-                .filter(|&&len| GatingParams::gates_interval(params.sa_full_bet, len))
-                .count() as u64;
-            SaIdleCost {
-                equivalent_cycles: walk.equivalent_cycles,
-                wakeup_stall_cycles: (full_off_wakeups * params.sa_pe_delay) as f64,
-            }
-        }
-    }
-}
-
 /// Power mode of one processing element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PeMode {
@@ -287,61 +197,6 @@ pub fn simulate_wavefront_on_pes(width: usize, m: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sa_interval_walk_orders_designs() {
-        // A mix of short (below PE BET), medium (between PE and full-array
-        // BET) and long intervals; all are followed by more SA work.
-        let intervals = [10u64, 100, 300, 5000, 20_000];
-        let params = GatingParams::default();
-        let total: u64 = intervals.iter().sum();
-        let nopg = sa_idle_intervals_cost(Design::NoPg, &params, &intervals, &intervals);
-        let base = sa_idle_intervals_cost(Design::ReGateBase, &params, &intervals, &intervals);
-        let hw = sa_idle_intervals_cost(Design::ReGateHw, &params, &intervals, &intervals);
-        let full = sa_idle_intervals_cost(Design::ReGateFull, &params, &intervals, &intervals);
-        let ideal = sa_idle_intervals_cost(Design::Ideal, &params, &intervals, &intervals);
-        assert!((nopg.equivalent_cycles - total as f64).abs() < 1e-9);
-        assert_eq!(nopg.wakeup_stall_cycles, 0.0);
-        assert!(base.equivalent_cycles < nopg.equivalent_cycles);
-        assert!(hw.equivalent_cycles < base.equivalent_cycles, "PE BET gates medium intervals");
-        assert!(full.equivalent_cycles < hw.equivalent_cycles, "setpm avoids the window");
-        assert_eq!(ideal.equivalent_cycles, 0.0);
-        // Base exposes the full-array delay per gated interval; PE-level
-        // designs expose a single PE delay on the two long intervals only.
-        assert!((base.wakeup_stall_cycles - 2.0 * params.sa_full_delay as f64).abs() < 1e-9);
-        assert!((hw.wakeup_stall_cycles - 2.0 * params.sa_pe_delay as f64).abs() < 1e-9);
-        assert!(hw.wakeup_stall_cycles < base.wakeup_stall_cycles);
-        assert_eq!(hw.wakeup_stall_cycles, full.wakeup_stall_cycles);
-    }
-
-    #[test]
-    fn trailing_interval_exposes_no_wakeup() {
-        // The last interval (20k cycles, ending at the makespan) gates for
-        // energy but wakes nothing; an SA-less workload (single interval,
-        // nothing waking) pays zero stalls entirely.
-        let intervals = [5000u64, 20_000];
-        let waking = [5000u64];
-        let params = GatingParams::default();
-        let base = sa_idle_intervals_cost(Design::ReGateBase, &params, &intervals, &waking);
-        assert!((base.wakeup_stall_cycles - params.sa_full_delay as f64).abs() < 1e-9);
-        let unused = sa_idle_intervals_cost(Design::ReGateBase, &params, &[100_000], &[]);
-        assert_eq!(unused.wakeup_stall_cycles, 0.0);
-        assert!(unused.equivalent_cycles < 100_000.0, "the idle energy is still recovered");
-    }
-
-    #[test]
-    fn sa_interval_walk_ignores_fragmented_idleness_under_base() {
-        // 100 × 100-cycle fragments: below the full-array BET (469), above
-        // the PE BET (47). Base recovers nothing; HW recovers almost all.
-        let intervals = vec![100u64; 100];
-        let params = GatingParams::default();
-        let base = sa_idle_intervals_cost(Design::ReGateBase, &params, &intervals, &intervals);
-        let hw = sa_idle_intervals_cost(Design::ReGateHw, &params, &intervals, &intervals);
-        assert!((base.equivalent_cycles - 10_000.0).abs() < 1e-9, "Base stays at full power");
-        assert!(hw.equivalent_cycles < 3_000.0, "PE-level gating recovers the fragments");
-        assert_eq!(base.wakeup_stall_cycles, 0.0);
-        assert_eq!(hw.wakeup_stall_cycles, 0.0, "W_on wavefront wake-ups are hidden");
-    }
 
     #[test]
     fn suffix_or_basic() {

@@ -12,8 +12,11 @@
 //! module prices exactly that delta on a multi-chip [`Schedule`].
 
 use npu_arch::{ComponentKind, NpuSpec};
-use npu_power::{GatePolicy, GatingParams, IntervalGating, PowerModel, PowerPolicy};
+use npu_power::{GatingParams, PowerModel, PowerPolicy};
 use npu_sim::{CycleInterval, Resource, Schedule};
+
+use crate::designs::Design;
+use crate::policy::PolicyKind;
 
 /// Static-energy accounting of one pod schedule, in watt-cycles (static
 /// watts × cycles; the cycle time cancels out of every ratio).
@@ -75,6 +78,11 @@ fn walked_equivalent(
 /// per-component gating, per-component plus whole-chip gating — over its
 /// per-resource timeline ([`npu_sim::ResourceTimeline`]).
 ///
+/// Policies: each chip unit and every ICI link walks its own idle gaps with
+/// `ReGate-Base`'s policy for its component (the links use the ICI one),
+/// and the uncore walks the whole-chip idle intervals with
+/// `WholeChip-Full`'s chip-level policy.
+///
 /// Weighting: each chip unit carries its component's static power from
 /// `spec`'s power model (the HBM/DMA resource carries both shares); when
 /// the set has ICI links, the pod's aggregate ICI static power is split
@@ -92,24 +100,8 @@ pub fn pod_static_gating(
     let set = schedule.resources;
     let tl = &schedule.resource_timeline;
     let total = schedule.makespan;
-    let leak = gating.leakage.logic_off;
-    let walk = |bet: u64, delay: u64| IntervalGating {
-        bet,
-        delay,
-        leak,
-        policy: GatePolicy::IdleDetect,
-        stall_bet: bet,
-        stall_delay: delay,
-        wake_exposure: 1.0,
-    };
-    // The uncore has no Table 3 row of its own: the chip-level walk is
-    // priced conservatively at twice the slowest component's figures
-    // (mirrors `PolicyKind::WholeChipFull`).
-    let chip_bet =
-        2 * gating.sa_full_bet.max(gating.vu_bet).max(gating.hbm_bet).max(gating.ici_bet);
-    let chip_delay =
-        2 * gating.sa_full_delay.max(gating.vu_delay).max(gating.hbm_delay).max(gating.ici_delay);
-    let chip_walk = walk(chip_bet, chip_delay);
+    let base = PolicyKind::Preset(Design::ReGateBase).config(gating, spec);
+    let chip_walk = PolicyKind::WholeChipFull.config(gating, spec).whole_chip;
 
     let mut baseline = 0.0f64;
     let mut per_component = 0.0f64;
@@ -123,32 +115,25 @@ pub fn pod_static_gating(
     for chip in 0..set.num_chips() {
         for kind in [Resource::Sa, Resource::Vu, Resource::HbmDma, Resource::Ici] {
             let (weight_w, policy) = match kind {
-                Resource::Sa => (
-                    model.static_power_w(ComponentKind::Sa),
-                    walk(gating.sa_full_bet, gating.sa_full_delay),
-                ),
-                Resource::Vu => {
-                    (model.static_power_w(ComponentKind::Vu), walk(gating.vu_bet, gating.vu_delay))
-                }
+                Resource::Sa => (model.static_power_w(ComponentKind::Sa), &base.sa_idle),
+                Resource::Vu => (model.static_power_w(ComponentKind::Vu), &base.vu),
+                // The DMA engine wakes with the HBM path it feeds.
                 Resource::HbmDma => (
                     model.static_power_w(ComponentKind::Hbm)
                         + model.static_power_w(ComponentKind::Dma),
-                    walk(gating.hbm_bet, gating.hbm_delay),
+                    &base.hbm,
                 ),
                 Resource::Ici => {
                     if set.num_links() > 0 {
                         // Pod traffic lives on the link resources below.
                         continue;
                     }
-                    (
-                        model.static_power_w(ComponentKind::Ici),
-                        walk(gating.ici_bet, gating.ici_delay),
-                    )
+                    (model.static_power_w(ComponentKind::Ici), &base.ici)
                 }
             };
             let id = set.unit(chip, kind);
             let gaps = tl.idle_intervals(id, total);
-            let eq = walked_equivalent(&policy, &gaps, tl.busy_cycles(id), total);
+            let eq = walked_equivalent(policy.as_ref(), &gaps, tl.busy_cycles(id), total);
             add(weight_w, total as f64, eq, eq);
         }
         // SRAM: segment-level gating is a different mechanism; keep it
@@ -156,9 +141,11 @@ pub fn pod_static_gating(
         add(model.static_power_w(ComponentKind::Sram), total as f64, total as f64, total as f64);
         // Uncore: always on under per-component gating, walked over the
         // whole-chip idle intervals under chip-level gating.
-        let bubbles = tl.chip_idle_intervals(&set, chip, total);
-        let bubble_cycles: u64 = bubbles.iter().map(CycleInterval::len).sum();
-        let chip_eq = walked_equivalent(&chip_walk, &bubbles, total - bubble_cycles, total);
+        let chip_eq = chip_walk.as_ref().map_or(total as f64, |policy| {
+            let bubbles = tl.chip_idle_intervals(&set, chip, total);
+            let bubble_cycles: u64 = bubbles.iter().map(CycleInterval::len).sum();
+            walked_equivalent(policy.as_ref(), &bubbles, total - bubble_cycles, total)
+        });
         add(model.static_power_w(ComponentKind::Other), total as f64, total as f64, chip_eq);
     }
 
@@ -166,11 +153,10 @@ pub fn pod_static_gating(
     if set.num_links() > 0 {
         let link_w = model.static_power_w(ComponentKind::Ici) * set.num_chips() as f64
             / set.num_links() as f64;
-        let policy = walk(gating.ici_bet, gating.ici_delay);
         for l in 0..set.num_links() {
             let id = set.link(l);
             let gaps = tl.idle_intervals(id, total);
-            let eq = walked_equivalent(&policy, &gaps, tl.busy_cycles(id), total);
+            let eq = walked_equivalent(base.ici.as_ref(), &gaps, tl.busy_cycles(id), total);
             add(link_w, total as f64, eq, eq);
         }
     }
@@ -188,14 +174,32 @@ mod tests {
     use npu_arch::{LinkGraph, NpuGeneration, PodTopology, TorusKind};
     use npu_sim::pod::pipeline_trace;
 
+    /// Prices a 4-chip pipeline trace and pins the f64 bits of the
+    /// balanced and imbalanced reports the tests use.
     fn report(stage_cycles: &[u64]) -> PodGatingReport {
         let graph = LinkGraph::torus(&PodTopology::for_chips(TorusKind::Torus2D, 4));
         let schedule = pipeline_trace(&graph, stage_cycles, 8).engine().run();
-        pod_static_gating(
+        let r = pod_static_gating(
             &schedule,
             &GatingParams::default(),
             &NpuSpec::generation(NpuGeneration::D),
-        )
+        );
+        let pinned: [u64; 3] = match stage_cycles {
+            [20_000, 20_000, 20_000, 20_000] => {
+                [0x41a6_23d8_bfff_fffe, 0x41a0_0077_c043_3187, 0x419b_003f_8294_4818]
+            }
+            [20_000, 80_000, 20_000, 20_000] => {
+                [0x41c1_8d22_3000_0002, 0x41b8_35ea_f896_9c67, 0x41ae_eb5b_701f_8096]
+            }
+            _ => panic!("no pinned report for stages {stage_cycles:?}"),
+        };
+        let bits = [
+            r.baseline_watt_cycles.to_bits(),
+            r.per_component_watt_cycles.to_bits(),
+            r.whole_chip_watt_cycles.to_bits(),
+        ];
+        assert_eq!(bits, pinned, "{stage_cycles:?}: {r:?}");
+        r
     }
 
     #[test]

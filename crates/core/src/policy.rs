@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use npu_arch::NpuSpec;
+use npu_arch::{ComponentKind, NpuSpec};
 use npu_power::{
     ClockGating, DvfsScaling, GatePolicy, GatingParams, IdealOff, IntervalGating, NoGating,
     PolicyInconsistency, PowerPolicy, SramGateMode, TileGrainRegating, WriteBackGating,
@@ -92,245 +92,139 @@ impl PolicyKind {
 
     /// Expands the name into per-component policies for `gating`
     /// parameters on a chip described by `spec`.
+    ///
+    /// Every component walk takes its break-even time and delay from
+    /// [`GatingParams::component_bet`] / [`GatingParams::component_delay`]
+    /// (or, for SRAM, [`GatingParams::sram_mode_gating`]); the presets only
+    /// choose how each walk is entered and how much of its wake-up stalls.
     #[must_use]
     pub fn config(self, gating: &GatingParams, spec: &NpuSpec) -> PolicyConfig {
+        use ComponentKind::{Dma, Hbm, Ici, Sa, Vu};
         let leak = gating.leakage;
-        // The ReGate interval walk for one component, with the full
-        // wake-up delay exposed (`exposure` scales the exposed share).
-        let interval = |bet: u64, delay: u64, policy: GatePolicy, exposure: f64| IntervalGating {
-            bet,
-            delay,
-            leak: leak.logic_off,
-            policy,
-            stall_bet: bet,
-            stall_delay: delay,
-            wake_exposure: exposure,
-        };
-        let sram_walk = |mode: SramGateMode| {
-            let g = gating.sram_gating(mode);
-            SramPolicy::Walk(Box::new(IntervalGating {
-                bet: g.bet,
-                delay: g.delay,
-                leak: g.leak,
-                policy: g.policy,
-                // Retention wake-ups are hidden under the access pipeline
-                // and never charged to the critical path.
-                stall_bet: g.bet,
-                stall_delay: g.delay,
-                wake_exposure: 0.0,
-            }))
+        let unit =
+            |kind, policy, exposure| Box::new(gating.component_gating(kind, policy, exposure));
+        // ReGate-Base/-HW/-Full: the SA walk, how the VU gates, the share
+        // of each HBM/ICI/DMA wake-up exposed (the DMA engine wakes with
+        // the HBM path it feeds), and the SRAM retention mode.
+        let regate = |sa_active,
+                      sa_idle: Box<dyn PowerPolicy>,
+                      (vu_policy, vu_exposure),
+                      io_exposure,
+                      sram_mode| {
+            let sram = gating.sram_mode_gating(sram_mode);
+            PolicyConfig {
+                kind: self,
+                sa_active,
+                sa_idle,
+                vu: unit(Vu, vu_policy, vu_exposure),
+                hbm: unit(Hbm, GatePolicy::IdleDetect, io_exposure),
+                ici: unit(Ici, GatePolicy::IdleDetect, io_exposure),
+                dma: unit(Dma, GatePolicy::IdleDetect, io_exposure),
+                sram: SramPolicy::Walk(Box::new(sram)),
+                whole_chip: None,
+                idle_leak: IdleLeakModel::PerComponent { logic: leak.logic_off, sram: sram.leak },
+            }
         };
         // The systolic array walks at PE-level parameters under HW/Full
         // but only *full-array* wake-ups (intervals past the full-array
         // BET) stall the pipeline — the diagonal wavefront hides the rest.
-        let sa_pe_level = |policy: GatePolicy| IntervalGating {
-            bet: gating.sa_pe_bet,
-            delay: gating.sa_pe_delay,
-            leak: leak.logic_off,
-            policy,
-            stall_bet: gating.sa_full_bet,
-            stall_delay: gating.sa_pe_delay,
-            wake_exposure: 1.0,
+        let sa_pe_level = |policy| {
+            Box::new(IntervalGating {
+                stall_bet: gating.component_bet(Sa),
+                ..IntervalGating::new(
+                    gating.sa_pe_bet,
+                    gating.sa_pe_delay,
+                    leak.logic_off,
+                    policy,
+                    1.0,
+                )
+            })
         };
+        // Every component under one policy; `sram_walks` walks the SRAM
+        // with it too instead of keeping it at full power.
+        let uniform =
+            |policy: &dyn Fn() -> Box<dyn PowerPolicy>, sram_walks, idle_leak| PolicyConfig {
+                kind: self,
+                sa_active: SaActiveMode::FullPower,
+                sa_idle: policy(),
+                vu: policy(),
+                hbm: policy(),
+                ici: policy(),
+                dma: policy(),
+                sram: if sram_walks { SramPolicy::Walk(policy()) } else { SramPolicy::FullPower },
+                whole_chip: None,
+                idle_leak,
+            };
         match self {
-            PolicyKind::Preset(Design::NoPg) => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(NoGating),
-                vu: Box::new(NoGating),
-                hbm: Box::new(NoGating),
-                ici: Box::new(NoGating),
-                dma: Box::new(NoGating),
-                sram: SramPolicy::FullPower,
-                whole_chip: None,
-                idle_leak: IdleLeakModel::Baseline,
-            },
-            PolicyKind::Preset(Design::ReGateBase) => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(interval(
-                    gating.sa_full_bet,
-                    gating.sa_full_delay,
-                    GatePolicy::IdleDetect,
-                    1.0,
-                )),
-                vu: Box::new(interval(gating.vu_bet, gating.vu_delay, GatePolicy::IdleDetect, 1.0)),
-                hbm: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    1.0,
-                )),
-                ici: Box::new(interval(
-                    gating.ici_bet,
-                    gating.ici_delay,
-                    GatePolicy::IdleDetect,
-                    1.0,
-                )),
-                dma: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    1.0,
-                )),
-                sram: sram_walk(SramGateMode::Drowsy),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent {
-                    logic: leak.logic_off,
-                    sram: leak.sram_sleep,
-                },
-            },
-            PolicyKind::Preset(Design::ReGateHw) => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::Spatial,
-                sa_idle: Box::new(sa_pe_level(GatePolicy::IdleDetect)),
-                vu: Box::new(interval(gating.vu_bet, gating.vu_delay, GatePolicy::IdleDetect, 1.0)),
-                hbm: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    0.5,
-                )),
-                ici: Box::new(interval(
-                    gating.ici_bet,
-                    gating.ici_delay,
-                    GatePolicy::IdleDetect,
-                    0.5,
-                )),
-                dma: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    0.5,
-                )),
-                sram: sram_walk(SramGateMode::Drowsy),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent {
-                    logic: leak.logic_off,
-                    sram: leak.sram_sleep,
-                },
-            },
-            PolicyKind::Preset(Design::ReGateFull) => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::Spatial,
-                sa_idle: Box::new(sa_pe_level(GatePolicy::CompilerDirected)),
-                // `setpm on` is issued ahead of the next use, hiding the
-                // VU wake-up behind the preceding instructions.
-                vu: Box::new(interval(
-                    gating.vu_bet,
-                    gating.vu_delay,
-                    GatePolicy::CompilerDirected,
-                    0.0,
-                )),
-                hbm: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    0.25,
-                )),
-                ici: Box::new(interval(
-                    gating.ici_bet,
-                    gating.ici_delay,
-                    GatePolicy::IdleDetect,
-                    0.25,
-                )),
-                dma: Box::new(interval(
-                    gating.hbm_bet,
-                    gating.hbm_delay,
-                    GatePolicy::IdleDetect,
-                    0.25,
-                )),
-                sram: sram_walk(SramGateMode::Off),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent {
-                    logic: leak.logic_off,
-                    sram: leak.sram_off,
-                },
-            },
+            PolicyKind::Preset(Design::NoPg) => {
+                uniform(&|| Box::new(NoGating), false, IdleLeakModel::Baseline)
+            }
+            PolicyKind::Preset(Design::ReGateBase) => regate(
+                SaActiveMode::FullPower,
+                unit(Sa, GatePolicy::IdleDetect, 1.0),
+                (GatePolicy::IdleDetect, 1.0),
+                1.0,
+                SramGateMode::Drowsy,
+            ),
+            PolicyKind::Preset(Design::ReGateHw) => regate(
+                SaActiveMode::Spatial,
+                sa_pe_level(GatePolicy::IdleDetect),
+                (GatePolicy::IdleDetect, 1.0),
+                0.5,
+                SramGateMode::Drowsy,
+            ),
+            // `setpm on` is issued ahead of the next use, hiding the VU
+            // wake-up behind the preceding instructions.
+            PolicyKind::Preset(Design::ReGateFull) => regate(
+                SaActiveMode::Spatial,
+                sa_pe_level(GatePolicy::CompilerDirected),
+                (GatePolicy::CompilerDirected, 0.0),
+                0.25,
+                SramGateMode::Off,
+            ),
             PolicyKind::Preset(Design::Ideal) => PolicyConfig {
-                kind: self,
                 sa_active: SaActiveMode::Utilization,
-                sa_idle: Box::new(IdealOff),
-                vu: Box::new(IdealOff),
-                hbm: Box::new(IdealOff),
-                ici: Box::new(IdealOff),
-                dma: Box::new(IdealOff),
-                sram: SramPolicy::Walk(Box::new(IdealOff)),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::Zero,
+                ..uniform(&|| Box::new(IdealOff), true, IdleLeakModel::Zero)
             },
-            PolicyKind::ClockGating { residual } => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(ClockGating { residual }),
-                vu: Box::new(ClockGating { residual }),
-                hbm: Box::new(ClockGating { residual }),
-                ici: Box::new(ClockGating { residual }),
-                dma: Box::new(ClockGating { residual }),
-                // Clock gating cannot touch SRAM cell leakage: the
-                // scratchpad stays at full static power.
-                sram: SramPolicy::FullPower,
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent { logic: residual, sram: 1.0 },
-            },
-            PolicyKind::Dvfs { scale } => PolicyConfig {
-                kind: self,
-                sa_active: SaActiveMode::FullPower,
-                sa_idle: Box::new(DvfsScaling { scale }),
-                vu: Box::new(DvfsScaling { scale }),
-                hbm: Box::new(DvfsScaling { scale }),
-                ici: Box::new(DvfsScaling { scale }),
-                dma: Box::new(DvfsScaling { scale }),
-                sram: SramPolicy::Walk(Box::new(DvfsScaling { scale })),
-                whole_chip: None,
-                idle_leak: IdleLeakModel::PerComponent { logic: scale, sram: scale },
-            },
+            // Clock gating cannot touch SRAM cell leakage: the scratchpad
+            // stays at full static power.
+            PolicyKind::ClockGating { residual } => uniform(
+                &|| Box::new(ClockGating { residual }),
+                false,
+                IdleLeakModel::PerComponent { logic: residual, sram: 1.0 },
+            ),
+            PolicyKind::Dvfs { scale } => uniform(
+                &|| Box::new(DvfsScaling { scale }),
+                true,
+                IdleLeakModel::PerComponent { logic: scale, sram: scale },
+            ),
+            // The SRAM drowsy walk on every component; its retention
+            // wake-ups hide under the pipeline.
             PolicyKind::DrowsyEverywhere => {
-                let drowsy = IntervalGating {
-                    bet: gating.sram_sleep_bet,
-                    delay: gating.sram_sleep_delay,
-                    leak: leak.sram_sleep,
-                    policy: GatePolicy::IdleDetect,
-                    stall_bet: gating.sram_sleep_bet,
-                    stall_delay: gating.sram_sleep_delay,
-                    // Retention wake-ups hide under the pipeline.
-                    wake_exposure: 0.0,
-                };
-                PolicyConfig {
-                    kind: self,
-                    sa_active: SaActiveMode::FullPower,
-                    sa_idle: Box::new(drowsy),
-                    vu: Box::new(drowsy),
-                    hbm: Box::new(drowsy),
-                    ici: Box::new(drowsy),
-                    dma: Box::new(drowsy),
-                    sram: sram_walk(SramGateMode::Drowsy),
-                    whole_chip: None,
-                    idle_leak: IdleLeakModel::PerComponent {
-                        logic: leak.sram_sleep,
-                        sram: leak.sram_sleep,
-                    },
-                }
+                let drowsy = gating.sram_mode_gating(SramGateMode::Drowsy);
+                uniform(
+                    &|| Box::new(drowsy),
+                    true,
+                    IdleLeakModel::PerComponent { logic: drowsy.leak, sram: drowsy.leak },
+                )
             }
             PolicyKind::TileGrainBase => {
                 let mut config = PolicyKind::Preset(Design::ReGateBase).config(gating, spec);
                 config.kind = self;
-                config.sa_idle = Box::new(TileGrainRegating {
-                    bet: gating.sa_full_bet,
-                    delay: gating.sa_full_delay,
-                    leak: leak.logic_off,
-                    tile_delay: gating.sa_pe_delay,
-                });
+                let tile_grain = |kind, tile_delay| {
+                    Box::new(TileGrainRegating {
+                        bet: gating.component_bet(kind),
+                        delay: gating.component_delay(kind),
+                        leak: leak.logic_off,
+                        tile_delay,
+                    })
+                };
+                config.sa_idle = tile_grain(Sa, gating.sa_pe_delay);
                 // Vector units re-gate per lane group: Table 3 has no
                 // per-lane wake figure, so a tile wakes in half the
                 // full-unit delay — decode traces, which never touch the
                 // SA, see their Figure 19 overhead through this edge.
-                config.vu = Box::new(TileGrainRegating {
-                    bet: gating.vu_bet,
-                    delay: gating.vu_delay,
-                    leak: leak.logic_off,
-                    tile_delay: (gating.vu_delay / 2).max(1),
-                });
+                config.vu = tile_grain(Vu, (gating.component_delay(Vu) / 2).max(1));
                 config
             }
             PolicyKind::ContentsAwareFull => {
@@ -349,18 +243,20 @@ impl PolicyKind {
                 // The uncore has no Table 3 row of its own: gating the
                 // whole chip is priced conservatively at twice the
                 // slowest component's break-even time and wake-up delay.
-                let bet = 2 * gating
-                    .sa_full_bet
-                    .max(gating.vu_bet)
-                    .max(gating.hbm_bet)
-                    .max(gating.ici_bet);
-                let delay = 2 * gating
-                    .sa_full_delay
-                    .max(gating.vu_delay)
-                    .max(gating.hbm_delay)
-                    .max(gating.ici_delay);
-                config.whole_chip =
-                    Some(Box::new(interval(bet, delay, GatePolicy::IdleDetect, 1.0)));
+                let slowest = |figure: fn(&GatingParams, ComponentKind) -> u64| {
+                    [Sa, Vu, Hbm, Ici]
+                        .into_iter()
+                        .map(|kind| figure(gating, kind))
+                        .max()
+                        .unwrap_or(0)
+                };
+                config.whole_chip = Some(Box::new(IntervalGating::new(
+                    2 * slowest(GatingParams::component_bet),
+                    2 * slowest(GatingParams::component_delay),
+                    leak.logic_off,
+                    GatePolicy::IdleDetect,
+                    1.0,
+                )));
                 config
             }
         }
@@ -467,6 +363,7 @@ impl PolicyConfig {
 mod tests {
     use super::*;
     use npu_arch::NpuGeneration;
+    use npu_power::PolicyWalk;
 
     #[test]
     fn every_default_policy_configuration_is_consistent() {
@@ -517,5 +414,66 @@ mod tests {
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), Design::ALL.len() + PolicyKind::EXTENDED.len());
+    }
+
+    /// The SA idle walk `PolicyKind::Preset(design)` prices with.
+    fn sa_walk(design: Design, intervals: &[u64], waking: &[u64]) -> PolicyWalk {
+        let spec = NpuSpec::generation(NpuGeneration::D);
+        let config = PolicyKind::Preset(design).config(&GatingParams::default(), &spec);
+        config.sa_idle.walk_intervals(intervals, waking)
+    }
+
+    #[test]
+    fn sa_interval_walk_orders_designs() {
+        // A mix of short (below PE BET), medium (between PE and full-array
+        // BET) and long intervals; all are followed by more SA work.
+        let intervals = [10u64, 100, 300, 5000, 20_000];
+        let params = GatingParams::default();
+        let total: u64 = intervals.iter().sum();
+        let nopg = sa_walk(Design::NoPg, &intervals, &intervals);
+        let base = sa_walk(Design::ReGateBase, &intervals, &intervals);
+        let hw = sa_walk(Design::ReGateHw, &intervals, &intervals);
+        let full = sa_walk(Design::ReGateFull, &intervals, &intervals);
+        let ideal = sa_walk(Design::Ideal, &intervals, &intervals);
+        assert!((nopg.equivalent_cycles - total as f64).abs() < 1e-9);
+        assert_eq!(nopg.wake_stall_cycles, 0.0);
+        assert!(base.equivalent_cycles < nopg.equivalent_cycles);
+        assert!(hw.equivalent_cycles < base.equivalent_cycles, "PE BET gates medium intervals");
+        assert!(full.equivalent_cycles < hw.equivalent_cycles, "setpm avoids the window");
+        assert_eq!(ideal.equivalent_cycles, 0.0);
+        // Base exposes the full-array delay per gated interval; PE-level
+        // designs expose a single PE delay on the two long intervals only.
+        assert!((base.wake_stall_cycles - 2.0 * params.sa_full_delay as f64).abs() < 1e-9);
+        assert!((hw.wake_stall_cycles - 2.0 * params.sa_pe_delay as f64).abs() < 1e-9);
+        assert!(hw.wake_stall_cycles < base.wake_stall_cycles);
+        assert_eq!(hw.wake_stall_cycles, full.wake_stall_cycles);
+    }
+
+    #[test]
+    fn trailing_interval_exposes_no_wakeup() {
+        // The last interval (20k cycles, ending at the makespan) gates for
+        // energy but wakes nothing; an SA-less workload (single interval,
+        // nothing waking) pays zero stalls entirely.
+        let intervals = [5000u64, 20_000];
+        let waking = [5000u64];
+        let params = GatingParams::default();
+        let base = sa_walk(Design::ReGateBase, &intervals, &waking);
+        assert!((base.wake_stall_cycles - params.sa_full_delay as f64).abs() < 1e-9);
+        let unused = sa_walk(Design::ReGateBase, &[100_000], &[]);
+        assert_eq!(unused.wake_stall_cycles, 0.0);
+        assert!(unused.equivalent_cycles < 100_000.0, "the idle energy is still recovered");
+    }
+
+    #[test]
+    fn sa_interval_walk_ignores_fragmented_idleness_under_base() {
+        // 100 × 100-cycle fragments: below the full-array BET (469), above
+        // the PE BET (47). Base recovers nothing; HW recovers almost all.
+        let intervals = vec![100u64; 100];
+        let base = sa_walk(Design::ReGateBase, &intervals, &intervals);
+        let hw = sa_walk(Design::ReGateHw, &intervals, &intervals);
+        assert!((base.equivalent_cycles - 10_000.0).abs() < 1e-9, "Base stays at full power");
+        assert!(hw.equivalent_cycles < 3_000.0, "PE-level gating recovers the fragments");
+        assert_eq!(base.wake_stall_cycles, 0.0);
+        assert_eq!(hw.wake_stall_cycles, 0.0, "W_on wavefront wake-ups are hidden");
     }
 }

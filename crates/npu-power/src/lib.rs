@@ -11,8 +11,11 @@
 //! The crate also carries:
 //!
 //! * [`gating`] — the synthesized power-gating parameters of Table 3
-//!   (power-on/off delays and break-even times per component), the leakage
-//!   ratios of gated/sleeping logic, and the area-overhead accounting;
+//!   (power-on/off delays and break-even times per component) and the
+//!   leakage ratios of gated/sleeping logic;
+//! * [`policy`] — the per-interval gating rule ([`IntervalGating`]) and the
+//!   alternative idle-interval policies priced against it;
+//! * [`telemetry`] — the same rule folded into a watts(t) waveform;
 //! * [`carbon`] — the operational/embodied carbon model of §6.6, including
 //!   the device-lifespan sweep of Figure 25.
 //!
@@ -42,12 +45,11 @@ pub mod telemetry;
 pub use carbon::{CarbonModel, LifespanPoint};
 pub use energy::{ComponentEnergy, EnergyBreakdown};
 pub use gating::{
-    GatePolicy, GatedIdleSummary, GatingInconsistency, GatingParams, GatingRule, LeakageRatios,
-    SramGateMode, SramGating,
+    GatePolicy, GatingInconsistency, GatingParams, GatingRule, LeakageRatios, SramGateMode,
 };
 pub use policy::{
     ClockGating, DvfsScaling, IdealOff, IntervalGating, NoGating, PolicyInconsistency, PolicyRule,
     PolicyWalk, PowerPolicy, TileGrainRegating, WriteBackGating,
 };
 pub use power::{PowerModel, DATACENTER_PUE, NPU_DUTY_CYCLE};
-pub use telemetry::{ComponentGating, ComponentWaveform, PowerStep, PowerTimeline};
+pub use telemetry::{ComponentWaveform, PowerStep, PowerTimeline};

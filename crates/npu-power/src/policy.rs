@@ -1,16 +1,20 @@
 //! Pluggable power-management policies over the idle-interval walk.
 //!
 //! ReGate's Base/HW/Full designs price every idle interval with one fixed
-//! recipe: below the break-even time the component stays on, at or above it
-//! the component gates and pays a transition window plus residual leakage
-//! ([`GatingParams::walk_idle_intervals`]). That recipe is one point in a
+//! rule: below the break-even time the component stays on, at or above it
+//! the component gates and pays an entry cost at full power plus residual
+//! leakage ([`IntervalGating::entry_cycles`]). That rule is one point in a
 //! much larger power-management design space. This module abstracts the
 //! per-component walk behind the [`PowerPolicy`] trait so the same
 //! interval-accurate timeline can price alternative strategies head to
 //! head:
 //!
 //! * [`IntervalGating`] — the ReGate walk itself, parameterized by BET,
-//!   transition delay, residual leakage, and wake-up stall exposure;
+//!   transition delay, residual leakage, and wake-up stall exposure. It is
+//!   the only code that decides whether an idle interval gates and what it
+//!   costs: the other interval policies, the gating-consistency rules and
+//!   the power waveform ([`PowerTimeline`](crate::PowerTimeline)) all call
+//!   it;
 //! * [`ClockGating`] — AUTOGATE-style clock gating: near-zero transition
 //!   cost and no exposed latency, but only the clock-tree (dynamic) share
 //!   of idle power is saved — leakage is untouched;
@@ -135,8 +139,7 @@ impl PowerPolicy for IdealOff {
     }
 }
 
-/// The ReGate idle-interval walk ([`GatingParams::walk_idle_intervals`])
-/// as a [`PowerPolicy`] implementation.
+/// The ReGate idle-interval rule as a [`PowerPolicy`].
 ///
 /// The walk prices intervals at (`bet`, `delay`, `leak`, `policy`); the
 /// stall model is separate because the systolic array walks at PE-level
@@ -162,25 +165,68 @@ pub struct IntervalGating {
     pub wake_exposure: f64,
 }
 
+impl IntervalGating {
+    /// A walk whose wake-ups stall at its own break-even time and delay.
+    #[must_use]
+    pub fn new(bet: u64, delay: u64, leak: f64, policy: GatePolicy, wake_exposure: f64) -> Self {
+        IntervalGating {
+            bet,
+            delay,
+            leak,
+            policy,
+            stall_bet: bet,
+            stall_delay: delay,
+            wake_exposure,
+        }
+    }
+
+    /// Full-power cycles one idle interval of `len` cycles spends entering
+    /// the gated state, or `None` when the interval is below the
+    /// break-even time and the component stays on
+    /// ([`GatingParams::gates_interval`] — the boundary is inclusive).
+    #[must_use]
+    pub fn entry_cycles(&self, len: u64) -> Option<f64> {
+        if !GatingParams::gates_interval(self.bet, len) {
+            return None;
+        }
+        let len = len as f64;
+        Some(match self.policy {
+            // Hardware idle detection must *observe* idleness before
+            // committing: the detection window (a third of the BET, as in
+            // the synthesized prototype's counter configuration) is spent
+            // at full power.
+            GatePolicy::IdleDetect => (self.bet as f64 / 3.0).min(len),
+            // The compiler knows the interval bounds exactly and issues
+            // `setpm off` at its start and `setpm on` ahead of the next
+            // use; both transitions burn full power but no window.
+            GatePolicy::CompilerDirected => (2.0 * self.delay as f64).min(len),
+        })
+    }
+
+    /// Equivalent full-power cycles of one idle interval of `len` cycles:
+    /// its full length when it stays on, otherwise the entry cost at full
+    /// power plus the remainder at the residual leakage.
+    #[must_use]
+    pub fn interval_cycles(&self, len: u64) -> f64 {
+        let len_f = len as f64;
+        self.entry_cycles(len).map_or(len_f, |entry| entry + (len_f - entry) * self.leak)
+    }
+}
+
 impl PowerPolicy for IntervalGating {
     fn label(&self) -> String {
         format!("interval-gating(bet={}, delay={})", self.bet, self.delay)
     }
 
     fn walk_intervals(&self, all: &[u64], waking: &[u64]) -> PolicyWalk {
-        let walk = GatingParams::walk_idle_intervals(
-            all.iter().copied(),
-            self.bet,
-            self.delay,
-            self.leak,
-            self.policy,
-        );
-        let wakeups = gated_count(waking, self.stall_bet);
-        PolicyWalk {
-            equivalent_cycles: walk.equivalent_cycles,
-            wake_stall_cycles: wakeups as f64 * self.stall_delay as f64 * self.wake_exposure,
-            gated_intervals: walk.gated_intervals,
+        let mut walk = PolicyWalk::default();
+        for &len in all {
+            walk.equivalent_cycles += self.interval_cycles(len);
+            walk.gated_intervals += u64::from(GatingParams::gates_interval(self.bet, len));
         }
+        let wakeups = gated_count(waking, self.stall_bet);
+        walk.wake_stall_cycles = wakeups as f64 * self.stall_delay as f64 * self.wake_exposure;
+        walk
     }
 }
 
@@ -299,15 +345,11 @@ impl PowerPolicy for TileGrainRegating {
     }
 
     fn walk_intervals(&self, all: &[u64], waking: &[u64]) -> PolicyWalk {
+        let array =
+            IntervalGating::new(self.bet, self.delay, self.leak, GatePolicy::IdleDetect, 1.0);
         let mut walk = PolicyWalk::default();
         for &len in all {
-            walk.equivalent_cycles += GatingParams::idle_interval_equivalent_cycles(
-                len,
-                self.bet,
-                self.delay,
-                self.leak,
-                GatePolicy::IdleDetect,
-            );
+            walk.equivalent_cycles += array.interval_cycles(len);
             if GatingParams::gates_interval(self.bet, len) {
                 walk.gated_intervals += 1;
                 // The re-gate sweep at the burst edge: tiles power back
@@ -458,24 +500,17 @@ mod tests {
     #[test]
     fn interval_gating_matches_the_raw_walk_and_prices_stalls_separately() {
         let policy = IntervalGating {
-            bet: 100,
-            delay: 10,
-            leak: 0.03,
-            policy: GatePolicy::IdleDetect,
             stall_bet: 400,
-            stall_delay: 10,
-            wake_exposure: 0.5,
+            ..IntervalGating::new(100, 10, 0.03, GatePolicy::IdleDetect, 0.5)
         };
-        let raw = GatingParams::walk_idle_intervals(
-            INTERVALS.iter().copied(),
-            100,
-            10,
-            0.03,
-            GatePolicy::IdleDetect,
-        );
+        // 3 and 50 stay on; 500 and 10 000 pay the 100/3-cycle detection
+        // window, then leak at 3%.
+        let window = 100.0 / 3.0;
+        let raw = 3.0 + 50.0 + (window + (500.0 - window) * 0.03);
+        let raw = raw + (window + (10_000.0 - window) * 0.03);
         let walk = policy.walk_intervals(&INTERVALS, &INTERVALS);
-        assert_eq!(walk.equivalent_cycles, raw.equivalent_cycles);
-        assert_eq!(walk.gated_intervals, raw.gated_intervals);
+        assert_eq!(walk.equivalent_cycles, raw);
+        assert_eq!(walk.gated_intervals, 2);
         // Two waking intervals (500 and 10 000) reach the stall BET of 400;
         // each exposes half of the 10-cycle delay.
         assert_eq!(walk.wake_stall_cycles, 2.0 * 10.0 * 0.5);
@@ -510,15 +545,7 @@ mod tests {
 
     #[test]
     fn tile_grain_exposes_tile_delay_but_pays_extra_transitions() {
-        let full = IntervalGating {
-            bet: 469,
-            delay: 10,
-            leak: 0.03,
-            policy: GatePolicy::IdleDetect,
-            stall_bet: 469,
-            stall_delay: 10,
-            wake_exposure: 1.0,
-        };
+        let full = IntervalGating::new(469, 10, 0.03, GatePolicy::IdleDetect, 1.0);
         let tile = TileGrainRegating { bet: 469, delay: 10, leak: 0.03, tile_delay: 1 };
         let full_walk = full.walk_intervals(&INTERVALS, &INTERVALS);
         let tile_walk = tile.walk_intervals(&INTERVALS, &INTERVALS);

@@ -7,10 +7,10 @@
 //! *time axis*: each component's busy intervals burn static plus
 //! (uniformly spread) dynamic power, each idle gap either stays at full
 //! static power (below the break-even time) or splits into the policy's
-//! full-power entry window followed by the residual-leakage plateau —
-//! exactly the per-interval terms of
-//! [`GatingParams::idle_interval_equivalent_cycles`], so the integral of
-//! the waveform reproduces the breakdown's totals to within f64 rounding.
+//! full-power entry window followed by the residual-leakage plateau. The
+//! split comes from [`IntervalGating::entry_cycles`], the same per-interval
+//! rule [`IntervalGating`]'s walk sums, so the integral of the waveform
+//! reproduces the breakdown's totals to within f64 rounding.
 //! That identity is the layer's correctness contract and is pinned by
 //! tests here and cross-checked at export time by the `trace_export`
 //! harness.
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use npu_arch::ComponentKind;
 
-use crate::gating::{GatePolicy, GatingParams, SramGateMode};
+use crate::policy::IntervalGating;
 
 /// One step of a piecewise-constant power waveform: `watts` over
 /// `[start_cycle, end_cycle)`. Boundaries are `f64` because idle-detection
@@ -46,52 +46,6 @@ impl PowerStep {
     #[must_use]
     pub fn cycles(&self) -> f64 {
         self.end_cycle - self.start_cycle
-    }
-}
-
-/// The gating parameters governing one component's idle gaps: the same
-/// `(bet, delay, leak, policy)` bundle the interval walk consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ComponentGating {
-    /// Break-even time in cycles; shorter gaps stay at full power.
-    pub bet: u64,
-    /// Power-on/off transition delay in cycles.
-    pub delay: u64,
-    /// Residual leakage while gated, as a fraction of full static power.
-    pub leak: f64,
-    /// How gating is entered (idle detection vs compiler-directed).
-    pub policy: GatePolicy,
-}
-
-impl ComponentGating {
-    /// The default gating bundle for a component kind: logic components
-    /// gate compiler-directed at their Table 3 break-even times with the
-    /// `logic_off` residual, SRAM follows the selected retention mode,
-    /// and peripheral logic (`Other`) cannot gate at all (`None`).
-    #[must_use]
-    pub fn for_kind(
-        params: &GatingParams,
-        kind: ComponentKind,
-        sram_mode: SramGateMode,
-    ) -> Option<ComponentGating> {
-        match kind {
-            ComponentKind::Other => None,
-            ComponentKind::Sram => {
-                let sram = params.sram_gating(sram_mode);
-                Some(ComponentGating {
-                    bet: sram.bet,
-                    delay: sram.delay,
-                    leak: sram.leak,
-                    policy: sram.policy,
-                })
-            }
-            _ => Some(ComponentGating {
-                bet: params.component_bet(kind),
-                delay: params.component_delay(kind),
-                leak: params.leakage.logic_off,
-                policy: GatePolicy::CompilerDirected,
-            }),
-        }
     }
 }
 
@@ -183,9 +137,9 @@ impl PowerTimeline {
     /// sorted, disjoint, inside the makespan): each burns `static_w` plus
     /// `dynamic_j` spread uniformly over the busy cycles. Gaps follow
     /// `gating` — `None` (or a gap below the break-even time) stays at
-    /// full static power; a gated gap pays the policy's entry window at
-    /// full power and the residual-leakage plateau after it, exactly the
-    /// terms of [`GatingParams::idle_interval_equivalent_cycles`].
+    /// full static power; a gated gap pays the policy's entry window
+    /// ([`IntervalGating::entry_cycles`]) at full power and the
+    /// residual-leakage plateau after it.
     ///
     /// # Panics
     ///
@@ -197,7 +151,7 @@ impl PowerTimeline {
         static_w: f64,
         dynamic_j: f64,
         busy: &[(u64, u64)],
-        gating: Option<ComponentGating>,
+        gating: Option<IntervalGating>,
     ) {
         let mut cursor = 0u64;
         let mut busy_cycles = 0u64;
@@ -232,13 +186,13 @@ impl PowerTimeline {
         let mut cursor = 0u64;
         for &(start, end) in busy {
             if start > cursor {
-                fold_gap(&mut wave, cursor as f64, start as f64, static_w, gating, false);
+                fold_gap(&mut wave, cursor, start, static_w, gating, false);
             }
             push_step(&mut wave.steps, start as f64, end as f64, static_w + dynamic_w);
             cursor = end;
         }
         if cursor < self.makespan_cycles {
-            fold_gap(&mut wave, cursor as f64, self.makespan_cycles as f64, static_w, gating, true);
+            fold_gap(&mut wave, cursor, self.makespan_cycles, static_w, gating, true);
         }
         self.components.push(wave);
     }
@@ -351,22 +305,17 @@ fn push_step(steps: &mut Vec<PowerStep>, start: f64, end: f64, watts: f64) {
 /// policy's entry window at full power followed by the residual plateau.
 fn fold_gap(
     wave: &mut ComponentWaveform,
-    start: f64,
-    end: f64,
+    start: u64,
+    end: u64,
     static_w: f64,
-    gating: Option<ComponentGating>,
+    gating: Option<IntervalGating>,
     trailing: bool,
 ) {
-    let len = end - start;
-    let gated =
-        gating.filter(|g| GatingParams::gates_interval(g.bet, len as u64)).filter(|_| len > 0.0);
-    let Some(g) = gated else {
+    let (start, len) = (start as f64, end - start);
+    let end = end as f64;
+    let Some((g, entry)) = gating.and_then(|g| Some((g, g.entry_cycles(len)?))) else {
         push_step(&mut wave.steps, start, end, static_w);
         return;
-    };
-    let entry = match g.policy {
-        GatePolicy::IdleDetect => (g.bet as f64 / 3.0).min(len),
-        GatePolicy::CompilerDirected => (2.0 * g.delay as f64).min(len),
     };
     push_step(&mut wave.steps, start, start + entry, static_w);
     push_step(&mut wave.steps, start + entry, end, g.leak * static_w);
@@ -384,6 +333,8 @@ mod tests {
 
     use super::*;
     use crate::energy::{ChipUsage, EnergyBreakdown};
+    use crate::gating::{GatePolicy, GatingParams, SramGateMode};
+    use crate::policy::PowerPolicy;
     use crate::power::PowerModel;
 
     const SPC: f64 = 1e-9;
@@ -401,35 +352,39 @@ mod tests {
 
     #[test]
     fn waveform_integral_matches_the_interval_walk() {
-        // VU-style gating over two busy bursts and three gaps (the middle
-        // gap is below the BET and must stay at full power).
-        let gating =
-            ComponentGating { bet: 32, delay: 2, leak: 0.03, policy: GatePolicy::CompilerDirected };
+        // Two busy bursts and three gaps (the 10-cycle middle gap is below
+        // every BET and must stay at full power), under VU-style gating
+        // entered both ways and under both SRAM retention modes.
+        let params = GatingParams::default();
+        let vu = |policy| params.component_gating(ComponentKind::Vu, policy, 1.0);
+        let gatings = [
+            vu(GatePolicy::CompilerDirected),
+            vu(GatePolicy::IdleDetect),
+            params.sram_mode_gating(SramGateMode::Drowsy),
+            params.sram_mode_gating(SramGateMode::Off),
+        ];
         let busy = [(100u64, 200u64), (210, 300), (1_000, 1_200)];
         let makespan = 2_000u64;
         let static_w = 3.0;
         let dynamic_j = 4.5e-7;
-        let mut tl = PowerTimeline::new(SPC, makespan);
-        tl.add_component(ComponentKind::Vu, static_w, dynamic_j, &busy, Some(gating));
+        for gating in gatings {
+            let mut tl = PowerTimeline::new(SPC, makespan);
+            tl.add_component(ComponentKind::Vu, static_w, dynamic_j, &busy, Some(gating));
 
-        let gaps = [100u64, 10, 700, 800];
-        let walk = GatingParams::walk_idle_intervals(
-            gaps.iter().copied(),
-            gating.bet,
-            gating.delay,
-            gating.leak,
-            gating.policy,
-        );
-        let busy_cycles: u64 = busy.iter().map(|(s, e)| e - s).sum();
-        let expected = static_w * (busy_cycles as f64 + walk.equivalent_cycles) * SPC + dynamic_j;
-        let total = tl.total_energy_j();
-        assert!(
-            (total - expected).abs() <= 1e-12 * expected,
-            "waveform integral {total} vs interval walk {expected}"
-        );
-        let wave = tl.component(ComponentKind::Vu).expect("waveform");
-        assert_eq!(wave.gated_intervals(), 3);
-        assert_eq!(wave.wakeups(), 2, "the trailing gated gap never wakes");
+            let walk = gating.walk_intervals(&[100, 10, 700, 800], &[100, 10, 700]);
+            let busy_cycles: u64 = busy.iter().map(|(s, e)| e - s).sum();
+            let expected =
+                static_w * (busy_cycles as f64 + walk.equivalent_cycles) * SPC + dynamic_j;
+            let total = tl.total_energy_j();
+            assert!(
+                (total - expected).abs() <= 1e-12 * expected,
+                "{gating:?}: waveform integral {total} vs interval walk {expected}"
+            );
+            let wave = tl.component(ComponentKind::Vu).expect("waveform");
+            assert_eq!(wave.gated_intervals(), 3);
+            assert_eq!(wave.gated_intervals(), walk.gated_intervals);
+            assert_eq!(wave.wakeups(), 2, "the trailing gated gap never wakes");
+        }
     }
 
     #[test]
@@ -469,7 +424,11 @@ mod tests {
         let mut equivalent_seconds = BTreeMap::new();
         for kind in ComponentKind::ALL {
             let intervals = &busy[&kind];
-            let gating = ComponentGating::for_kind(&params, kind, SramGateMode::Drowsy);
+            let gating = match kind {
+                ComponentKind::Other => None,
+                ComponentKind::Sram => Some(params.sram_mode_gating(SramGateMode::Drowsy)),
+                _ => Some(params.component_gating(kind, GatePolicy::CompilerDirected, 1.0)),
+            };
             tl.add_component(
                 kind,
                 model.static_power_w(kind),
@@ -491,16 +450,7 @@ mod tests {
             let busy_cycles: u64 = intervals.iter().map(|(s, e)| e - s).sum();
             let eq = match gating {
                 None => makespan as f64,
-                Some(g) => {
-                    let walk = GatingParams::walk_idle_intervals(
-                        gaps.into_iter(),
-                        g.bet,
-                        g.delay,
-                        g.leak,
-                        g.policy,
-                    );
-                    busy_cycles as f64 + walk.equivalent_cycles
-                }
+                Some(g) => busy_cycles as f64 + g.walk_intervals(&gaps, &[]).equivalent_cycles,
             };
             equivalent_seconds.insert(kind, eq * spc);
         }
@@ -523,8 +473,7 @@ mod tests {
 
     #[test]
     fn counter_samples_step_at_boundaries_and_close_at_zero() {
-        let gating =
-            ComponentGating { bet: 30, delay: 5, leak: 0.0, policy: GatePolicy::CompilerDirected };
+        let gating = IntervalGating::new(30, 5, 0.0, GatePolicy::CompilerDirected, 1.0);
         let mut tl = PowerTimeline::new(SPC, 300);
         tl.add_component(ComponentKind::Sa, 2.0, 0.0, &[(0, 100)], Some(gating));
         let samples = tl.counter_samples(ComponentKind::Sa).expect("samples");
@@ -549,19 +498,5 @@ mod tests {
     fn overlapping_busy_intervals_are_rejected() {
         let mut tl = PowerTimeline::new(SPC, 1_000);
         tl.add_component(ComponentKind::Sa, 1.0, 0.0, &[(0, 100), (50, 200)], None);
-    }
-
-    #[test]
-    fn for_kind_maps_components_to_their_gating_bundles() {
-        let params = GatingParams::default();
-        let sa = ComponentGating::for_kind(&params, ComponentKind::Sa, SramGateMode::Drowsy)
-            .expect("SA gates");
-        assert_eq!((sa.bet, sa.delay), (469, 10));
-        let sram = ComponentGating::for_kind(&params, ComponentKind::Sram, SramGateMode::Off)
-            .expect("SRAM gates");
-        assert_eq!(sram.policy, GatePolicy::CompilerDirected);
-        assert!((sram.leak - 0.002).abs() < 1e-12);
-        assert!(ComponentGating::for_kind(&params, ComponentKind::Other, SramGateMode::Drowsy)
-            .is_none());
     }
 }
