@@ -57,7 +57,9 @@ impl BatchPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if the arrivals are not sorted in non-decreasing order.
+    /// Panics if the arrivals are not sorted in non-decreasing order, or
+    /// if the policy's batch size (`Static::batch`,
+    /// `DynamicWindow::max_batch`) is zero: no batch could ever close.
     #[must_use]
     pub fn form(&self, arrivals: &[u64]) -> Vec<FormedBatch> {
         assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "arrival trace must be non-decreasing");
@@ -65,7 +67,7 @@ impl BatchPolicy {
         let mut batches = Vec::new();
         match *self {
             BatchPolicy::Static { batch } => {
-                let batch = batch.max(1);
+                assert!(batch >= 1, "BatchPolicy::Static needs a batch of at least 1 request");
                 let mut start = 0usize;
                 while start < n {
                     let end = (start + batch).min(n);
@@ -77,7 +79,10 @@ impl BatchPolicy {
                 }
             }
             BatchPolicy::DynamicWindow { max_batch, max_wait_cycles } => {
-                let max_batch = max_batch.max(1);
+                assert!(
+                    max_batch >= 1,
+                    "BatchPolicy::DynamicWindow needs a max_batch of at least 1 request"
+                );
                 let mut start = 0usize;
                 while start < n {
                     let deadline = arrivals[start].saturating_add(max_wait_cycles);
@@ -144,6 +149,18 @@ mod tests {
         assert_eq!(batches[0], FormedBatch { requests: 0..3, dispatch_cycle: 20 });
         assert_eq!(batches[1], FormedBatch { requests: 3..6, dispatch_cycle: 50 });
         assert_eq!(batches[2], FormedBatch { requests: 6..7, dispatch_cycle: 60 });
+    }
+
+    #[test]
+    #[should_panic(expected = "BatchPolicy::Static needs a batch of at least 1 request")]
+    fn zero_static_batch_is_rejected() {
+        let _ = BatchPolicy::Static { batch: 0 }.form(&[0, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "BatchPolicy::DynamicWindow needs a max_batch of at least 1 request")]
+    fn zero_window_max_batch_is_rejected() {
+        let _ = BatchPolicy::DynamicWindow { max_batch: 0, max_wait_cycles: 100 }.form(&[0, 10]);
     }
 
     #[test]

@@ -4,13 +4,22 @@
 //! Each formed batch is lowered through the existing
 //! [`Workload::try_build_request_graph`] path (independent per-request
 //! subgraphs merged by a batch collective) with every operator *released*
-//! at the batch's dispatch cycle, the batches are concatenated into one
-//! operator graph, and the whole trace is scheduled by the unmodified
-//! timeline engine. Queueing delay and inter-request gaps therefore show
-//! up as ordinary idle intervals on every resource track — the
-//! interval-walking gating model in `regate::Evaluator` prices them with
-//! no serving-specific special-casing, which is exactly the paper's §3
-//! point that out-of-duty-cycle idleness is gateable energy.
+//! at the batch's dispatch cycle, and the batches are concatenated into one
+//! operator graph scheduled by the timeline engine. Queueing delay and
+//! inter-request gaps therefore show up as ordinary idle intervals on every
+//! resource track — the interval-walking gating model in `regate::Evaluator`
+//! prices them with no serving-specific special-casing, which is exactly
+//! the paper's §3 point that out-of-duty-cycle idleness is gateable energy.
+//!
+//! [`ServingSimulator::run`] replays the trace batch-aware: a batch that
+//! dispatches onto an idle chip and finishes before the next dispatch is
+//! *stamped* from the schedule its template recorded the first time a
+//! batch of that size started the same way, shifted by its dispatch cycle;
+//! the other batches run through the event loop (see [`npu_sim::stamp`]).
+//! The engine counts in integer cycles and its rules never read absolute
+//! time, so the result is identical, counters included, to the plain event
+//! loop that [`ServingSimulator::run_traced`] and
+//! [`ServingSimulator::run_uncached`] keep as differential oracles.
 //!
 //! At saturating load (every request at cycle 0, one full batch) the
 //! serving schedule reproduces the classic cycle-0 batch run bit for bit:
@@ -27,7 +36,7 @@ use npu_compiler::{CompiledGraph, Compiler};
 use npu_models::{OperatorGraph, Workload};
 use npu_sim::analysis::{self, rules, AnalysisReport, Diagnostic, OpSpan};
 use npu_sim::{
-    EngineScratch, NullObserver, PreparedSimulator, SimObserver, SimulationResult, Simulator,
+    BatchStamps, EngineScratch, PreparedSimulator, ReplayBatch, SimulationResult, Simulator,
     TraceRecorder,
 };
 use serde::{Deserialize, Serialize};
@@ -84,8 +93,10 @@ pub struct BatchRecord {
 
 /// Hit/miss counters of the serving simulator's two compile caches —
 /// the per-request-count batch templates and the per-batch-shape
-/// prepared traces. A snapshot, monotone over a simulator's (and its
-/// clones') lifetime: subtract two snapshots to count one sweep's work.
+/// prepared traces — plus how many batches [`ServingSimulator::run`]
+/// stamped from a recorded schedule. A snapshot, monotone over a
+/// simulator's (and its clones') lifetime: subtract two snapshots to count
+/// one sweep's work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServingCacheCounters {
     /// Batch-template lookups served from the cache.
@@ -96,6 +107,9 @@ pub struct ServingCacheCounters {
     pub trace_hits: u64,
     /// Prepared-trace lookups that paid concatenation + preparation.
     pub trace_misses: u64,
+    /// Batches [`ServingSimulator::run`] stamped from their template's
+    /// recorded schedule instead of running their events.
+    pub batches_stamped: u64,
 }
 
 /// The live atomic cells behind [`ServingCacheCounters`], shared by
@@ -106,6 +120,7 @@ struct CacheCounterCells {
     batch_misses: AtomicU64,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
+    batches_stamped: AtomicU64,
 }
 
 impl CacheCounterCells {
@@ -115,6 +130,7 @@ impl CacheCounterCells {
             batch_misses: self.batch_misses.load(Ordering::Relaxed),
             trace_hits: self.trace_hits.load(Ordering::Relaxed),
             trace_misses: self.trace_misses.load(Ordering::Relaxed),
+            batches_stamped: self.batches_stamped.load(Ordering::Relaxed),
         }
     }
 }
@@ -306,6 +322,14 @@ impl ServingOutcome {
     }
 }
 
+/// One request count's batch: its compiled subgraph, and the schedules
+/// the engine recorded for it, one per way a batch of this size starts.
+#[derive(Debug)]
+struct BatchTemplate {
+    compiled: CompiledGraph,
+    stamps: BatchStamps,
+}
+
 /// One batch shape's trace, prepared for replay: the concatenated
 /// compiled graph plus the release-independent simulator state. Only the
 /// release cycles change between runs that form the same batch sizes.
@@ -321,6 +345,8 @@ struct PreparedTrace {
     positions: Vec<usize>,
     /// Op-id range of each batch's subgraph in the combined graph.
     op_ranges: Vec<std::ops::Range<usize>>,
+    /// Anchor range of each batch, and the template it was copied from.
+    batches: Vec<(std::ops::Range<usize>, Arc<BatchTemplate>)>,
 }
 
 /// Simulates a request-serving NPU deployment: one chip model, one
@@ -329,19 +355,21 @@ struct PreparedTrace {
 /// Lowering, fusion, compilation, SRAM allocation, and dependency
 /// flattening are all release-independent, so the simulator caches them at
 /// two levels keyed by batch shape: per *request count* (one compiled
-/// batch subgraph each) and per *batch-size sequence* (the concatenated
-/// graph prepared for replay). A sweep that forms the same batch sizes
-/// across many arrival seeds or load points pays the compile path once and
-/// then only re-runs the event loop. Clones share the caches (and the
-/// engine scratch buffers) through `Arc`.
+/// batch subgraph each, plus the schedules recorded for it) and per *batch-size sequence* (the concatenated graph
+/// prepared for replay). A sweep that forms the same batch sizes across
+/// many arrival seeds or load points pays the compile path once and then
+/// only replays: isolated batches are stamped, the rest run through the
+/// event loop. Clones share the caches (and the engine scratch buffers)
+/// through `Arc`.
 #[derive(Debug, Clone)]
 pub struct ServingSimulator {
     chip: ChipConfig,
     parallelism: ParallelismConfig,
     workload: Workload,
     compiler: Compiler,
-    /// Request count → compiled batch subgraph (keyed lookups only).
-    batch_cache: Arc<Mutex<HashMap<usize, Arc<CompiledGraph>>>>, // lint:allow(hash-iter)
+    /// Request count → compiled batch subgraph and its recorded
+    /// schedules (keyed lookups only).
+    batch_cache: Arc<Mutex<HashMap<usize, Arc<BatchTemplate>>>>, // lint:allow(hash-iter)
     /// Batch-size sequence → prepared trace (keyed lookups only).
     trace_cache: Arc<Mutex<HashMap<Vec<usize>, Arc<PreparedTrace>>>>, // lint:allow(hash-iter)
     /// Reused event-loop buffers for the cached path.
@@ -424,8 +452,12 @@ impl ServingSimulator {
     /// Serves an arrival trace under a batching policy, reusing the
     /// compiled-graph and prepared-simulator caches: the first run of a
     /// batch shape pays lowering/fusion/compilation/allocation, repeated
-    /// shapes only replay the event loop with new release cycles. The
-    /// schedule is bit-for-bit identical to
+    /// shapes only replay with new release cycles. The replay stamps every
+    /// batch that runs alone on an idle chip from its template's recorded
+    /// schedule, shifted by its dispatch cycle, and runs the others
+    /// through the event loop (see [`npu_sim::stamp`]). The result is
+    /// identical, counters included, to the plain event loop of
+    /// [`ServingSimulator::run_traced`] and to the fresh compile of
     /// [`ServingSimulator::run_uncached`] (pinned by the
     /// `serving_invariants` corpus test).
     ///
@@ -435,15 +467,30 @@ impl ServingSimulator {
     /// (the [`BatchPolicy::form`] contract).
     #[must_use]
     pub fn run(&self, arrivals: &[u64], policy: &BatchPolicy) -> ServingOutcome {
-        self.replay(arrivals, policy, |_| NullObserver).0
+        let (formed, trace, op_releases) = self.plan(arrivals, policy);
+        let batches: Vec<ReplayBatch<'_>> = trace
+            .batches
+            .iter()
+            .map(|(anchors, template)| ReplayBatch {
+                anchors: anchors.clone(),
+                stamps: &template.stamps,
+            })
+            .collect();
+        let (simulation, stamped) = trace.prepared.run_batches(
+            &op_releases,
+            &batches,
+            &mut self.scratch.lock().expect("engine scratch"),
+        );
+        self.cache_counters.batches_stamped.fetch_add(stamped as u64, Ordering::Relaxed);
+        self.finish(arrivals, &formed, &trace, simulation)
     }
 
-    /// Like [`ServingSimulator::run`], but observes the replay with a
-    /// [`TraceRecorder`] and returns it alongside the outcome: every
-    /// resource occupancy as a display-track slice plus one flow event
-    /// per dispatched batch. The schedule itself is bit-identical to the
-    /// unobserved [`ServingSimulator::run`] — observers never influence
-    /// the engine.
+    /// Like [`ServingSimulator::run`], but runs every batch through the
+    /// event loop — the differential oracle of `run`'s stamped batches —
+    /// observed by a [`TraceRecorder`], which it returns alongside the
+    /// outcome: every resource occupancy as a display-track slice plus one
+    /// flow event per dispatched batch. The schedule is identical to
+    /// [`ServingSimulator::run`]'s; observers never influence the engine.
     ///
     /// # Panics
     ///
@@ -455,54 +502,33 @@ impl ServingSimulator {
         arrivals: &[u64],
         policy: &BatchPolicy,
     ) -> (ServingOutcome, TraceRecorder) {
-        let (outcome, mut recorder) =
-            self.replay(arrivals, policy, |prepared| TraceRecorder::for_set(&prepared.resources()));
+        let (formed, trace, op_releases) = self.plan(arrivals, policy);
+        let mut recorder = TraceRecorder::for_set(&trace.prepared.resources());
+        let simulation = trace.prepared.run_with_scratch_observed(
+            &op_releases,
+            &mut self.scratch.lock().expect("engine scratch"),
+            &mut recorder,
+        );
+        let outcome = self.finish(arrivals, &formed, &trace, simulation);
         for (index, batch) in outcome.batches.iter().enumerate() {
             recorder.add_batch_flow(index, batch.dispatch_cycle, batch.completion_cycle);
         }
         (outcome, recorder)
     }
 
-    /// The cached replay behind [`ServingSimulator::run`] and
-    /// [`ServingSimulator::run_traced`]: forms the batches, looks up the
-    /// prepared trace of their shape, and replays it under the batches'
-    /// dispatch cycles with the observer `observer` builds for it.
-    fn replay<O: SimObserver>(
+    /// Forms the batches, looks up the prepared trace of their shape, and
+    /// lays out its release vector from the batches' dispatch cycles.
+    fn plan(
         &self,
         arrivals: &[u64],
         policy: &BatchPolicy,
-        observer: impl FnOnce(&PreparedSimulator) -> O,
-    ) -> (ServingOutcome, O) {
+    ) -> (Vec<FormedBatch>, Arc<PreparedTrace>, Vec<u64>) {
         assert!(!arrivals.is_empty(), "an empty arrival trace serves nothing");
         let formed = policy.form(arrivals);
         let shape: Vec<usize> = formed.iter().map(FormedBatch::len).collect();
         let trace = self.prepared_trace(&shape, arrivals.len());
         let op_releases = Self::release_plan(&trace, formed.iter().map(|b| b.dispatch_cycle));
-        let batches = formed
-            .iter()
-            .zip(&trace.op_ranges)
-            .map(|(batch, range)| BatchRecord {
-                requests: batch.requests.clone(),
-                ops: range.clone(),
-                dispatch_cycle: batch.dispatch_cycle,
-                completion_cycle: 0,
-            })
-            .collect();
-
-        let mut obs = observer(&trace.prepared);
-        let simulation = trace.prepared.run_with_scratch_observed(
-            &op_releases,
-            &mut self.scratch.lock().expect("engine scratch"),
-            &mut obs,
-        );
-        let outcome = self.finish(
-            arrivals,
-            Arc::clone(&trace.compiled),
-            &trace.positions,
-            simulation,
-            batches,
-        );
-        (outcome, obs)
+        (formed, trace, op_releases)
     }
 
     /// The release vector of a prepared trace given each batch's dispatch
@@ -564,14 +590,15 @@ impl ServingSimulator {
         let simulation =
             Simulator::new(self.chip.clone()).run_with_releases(&compiled, &op_releases);
         let positions = compiled.anchor_positions();
-        self.finish(arrivals, Arc::new(compiled), &positions, simulation, batches)
+        self.outcome(arrivals, Arc::new(compiled), &positions, simulation, batches)
     }
 
-    /// The compiled subgraph of one batch of `num_requests` requests.
-    /// Release-independent: the request-graph builder's structure depends
-    /// only on the request count (releases populate span metadata), so one
-    /// compilation serves every batch of this size.
-    fn batch_template(&self, num_requests: usize) -> Arc<CompiledGraph> {
+    /// The compiled subgraph of one batch of `num_requests` requests, with
+    /// the schedules recorded for it. Release-independent: the
+    /// request-graph builder's structure depends only on the request count
+    /// (releases populate span metadata), so one compilation serves every
+    /// batch of this size.
+    fn batch_template(&self, num_requests: usize) -> Arc<BatchTemplate> {
         if let Some(template) = self.batch_cache.lock().expect("batch cache").get(&num_requests) {
             self.cache_counters.batch_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(template);
@@ -584,11 +611,14 @@ impl ServingSimulator {
             .with_batch(samples)
             .try_build_request_graph(&self.parallelism, &releases)
             .expect("a formed batch has >= 1 request and >= 1 sample");
-        let compiled = Arc::new(self.compiler.compile(&request_graph.graph));
+        let template = Arc::new(BatchTemplate {
+            compiled: self.compiler.compile(&request_graph.graph),
+            stamps: BatchStamps::default(),
+        });
         // A racing clone may have built the same template meanwhile; both
         // computed identical graphs, so first insert wins.
         Arc::clone(
-            self.batch_cache.lock().expect("batch cache").entry(num_requests).or_insert(compiled),
+            self.batch_cache.lock().expect("batch cache").entry(num_requests).or_insert(template),
         )
     }
 
@@ -609,18 +639,26 @@ impl ServingSimulator {
             self.parallelism
         ));
         let mut op_ranges = Vec::with_capacity(shape.len());
+        let mut templates = Vec::with_capacity(shape.len());
         for &count in shape {
             let template = self.batch_template(count);
-            op_ranges.push(combined.extend_from(&template));
+            op_ranges.push(combined.extend_from(&template.compiled));
+            templates.push(template);
         }
         let prepared = Simulator::new(self.chip.clone()).prepare(&combined);
         let positions = combined.anchor_positions();
+        let batches = op_ranges
+            .iter()
+            .zip(templates)
+            .map(|(ops, template)| (prepared.anchor_range(ops.clone()), template))
+            .collect();
         let trace = Arc::new(PreparedTrace {
             dag_diagnostics: analysis::check_compiled_graph(&combined),
             compiled: Arc::new(combined),
             prepared,
             positions,
             op_ranges,
+            batches,
         });
         Arc::clone(
             self.trace_cache.lock().expect("trace cache").entry(shape.to_vec()).or_insert(trace),
@@ -664,9 +702,30 @@ impl ServingSimulator {
         self.trace_cache.lock().expect("trace cache").get(shape).cloned()
     }
 
+    /// The outcome of a replay of a prepared trace under `formed`.
+    fn finish(
+        &self,
+        arrivals: &[u64],
+        formed: &[FormedBatch],
+        trace: &PreparedTrace,
+        simulation: SimulationResult,
+    ) -> ServingOutcome {
+        let batches = formed
+            .iter()
+            .zip(&trace.op_ranges)
+            .map(|(batch, range)| BatchRecord {
+                requests: batch.requests.clone(),
+                ops: range.clone(),
+                dispatch_cycle: batch.dispatch_cycle,
+                completion_cycle: 0,
+            })
+            .collect();
+        self.outcome(arrivals, Arc::clone(&trace.compiled), &trace.positions, simulation, batches)
+    }
+
     /// Shared post-processing of a scheduled trace: per-batch completion
     /// times and per-request records.
-    fn finish(
+    fn outcome(
         &self,
         arrivals: &[u64],
         compiled: Arc<CompiledGraph>,

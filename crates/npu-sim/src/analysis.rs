@@ -1543,6 +1543,25 @@ mod tests {
     }
 
     #[test]
+    fn sram_capacity_report_flags_over_capacity_operators() {
+        // Violation path: two of four operators claim more than the
+        // 1 MiB capacity, and the timeline peak exceeds it too.
+        let cap = 1 << 20;
+        let report = SramCapacityReport::from_parts(cap, [cap / 2, cap + 1, cap, 3 * cap], 2 * cap);
+        assert!(!report.is_ok());
+        assert_eq!(report.violations.len(), 2);
+        assert_eq!(report.violations[0].op_index, 1);
+        assert_eq!(report.violations[1].op_index, 3);
+        assert_eq!(report.violations[1].live_bytes, 3 * cap);
+        // Peak alone also fails the audit.
+        let peak_only = SramCapacityReport::from_parts(cap, [cap / 2], cap + 1);
+        assert!(peak_only.violations.is_empty());
+        assert!(!peak_only.is_ok());
+        // A clean allocation passes.
+        assert!(SramCapacityReport::from_parts(cap, [cap / 2, cap], cap).is_ok());
+    }
+
+    #[test]
     fn clean_fixture_and_real_workload_pass_every_dag_rule() {
         let diamond = compile(&fixtures::clean_diamond());
         assert_eq!(check_compiled_graph(&diamond), Vec::new());

@@ -26,9 +26,10 @@ use npu_models::{CollectiveKind, ExecutionUnit, OpKind};
 use crate::activity::ComponentActivity;
 use crate::observer::{NullObserver, SimObserver};
 use crate::segments::SegmentTimeline;
+use crate::stamp::ReplayBatch;
 use crate::timeline::{
     BusyTimeline, EngineScratch, IdleHistogram, OpPhases, Resource, ResourceSet, RunCounters,
-    TimelineEngine,
+    Schedule, TimelineEngine,
 };
 use crate::timing::{OpProfile, OpTiming};
 
@@ -149,7 +150,7 @@ impl Simulator {
             anchor.profile.sram_live_bytes = live_profile[anchor_index];
             // Over-capacity live bytes are an allocator bug, not a value
             // downstream consumers may quietly clamp; see
-            // `validation::SramCapacityReport` for the release-mode audit.
+            // `analysis::SramCapacityReport` for the release-mode audit.
             debug_assert!(
                 anchor.profile.sram_live_bytes <= spec.sram_bytes(),
                 "anchor {anchor_index}: allocator reports {} live bytes in a {}-byte scratchpad",
@@ -477,8 +478,56 @@ impl PreparedSimulator {
         // is ready only when every member's request has arrived (in
         // practice all members share one batch).
         let releases = self.anchor_releases(op_releases);
-
         let schedule = self.engine.run_with_scratch_observed(&releases, scratch, obs);
+        self.materialize(schedule, releases)
+    }
+
+    /// The anchor range holding the compiled operators `ops` — one batch
+    /// of a concatenated serving trace, for
+    /// [`PreparedSimulator::run_batches`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fusion group crosses the range's boundary.
+    #[must_use]
+    pub fn anchor_range(&self, ops: std::ops::Range<usize>) -> std::ops::Range<usize> {
+        assert!(
+            self.fold_anchor[ops.clone()].iter().all(|anchor| ops.contains(anchor)),
+            "a fusion group crosses the operator range {ops:?}"
+        );
+        let first = self.anchor_ids.partition_point(|&id| id < ops.start);
+        first..self.anchor_ids.partition_point(|&id| id < ops.end)
+    }
+
+    /// Replays the prepared graph like
+    /// [`PreparedSimulator::run_with_scratch`], but stamps every isolated
+    /// batch from its template's recorded schedule instead of running its
+    /// events (see [`crate::stamp`]). The result equals
+    /// `run_with_scratch(op_releases, ..)`'s exactly; it comes back with
+    /// the number of batches stamped. `batches` hold anchor ranges (see
+    /// [`PreparedSimulator::anchor_range`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op_releases` does not have one entry per compiled
+    /// operator, if the batches do not tile the anchors in order, or if a
+    /// producer edge crosses from one batch into another.
+    #[must_use]
+    pub fn run_batches(
+        &self,
+        op_releases: &[u64],
+        batches: &[ReplayBatch<'_>],
+        scratch: &mut EngineScratch,
+    ) -> (SimulationResult, usize) {
+        assert_eq!(op_releases.len(), self.num_ops(), "a batched replay needs every release");
+        let releases = self.anchor_releases(op_releases);
+        let (schedule, stamped) = self.engine.run_batches(&releases, batches, scratch);
+        (self.materialize(schedule, releases), stamped)
+    }
+
+    /// Builds the result of one replay from its schedule: per-anchor
+    /// spans, the SRAM segment timeline and the activity summary.
+    fn materialize(&self, schedule: Schedule, releases: Vec<u64>) -> SimulationResult {
         let timings = schedule
             .ops
             .iter()

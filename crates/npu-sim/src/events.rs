@@ -56,6 +56,31 @@ pub enum EventKind {
     },
 }
 
+impl EventKind {
+    /// Anchor index of the operator the event belongs to.
+    pub(crate) fn op(self) -> usize {
+        match self {
+            EventKind::IssueDma { op }
+            | EventKind::DmaLeadArrived { op }
+            | EventKind::DmaComplete { op }
+            | EventKind::IssueMain { op }
+            | EventKind::MainComplete { op } => op,
+        }
+    }
+
+    /// The same event for operator `op - base`: its index within a batch
+    /// that starts at `base`.
+    pub(crate) fn relative_to(self, base: usize) -> Self {
+        match self {
+            EventKind::IssueDma { op } => EventKind::IssueDma { op: op - base },
+            EventKind::DmaLeadArrived { op } => EventKind::DmaLeadArrived { op: op - base },
+            EventKind::DmaComplete { op } => EventKind::DmaComplete { op: op - base },
+            EventKind::IssueMain { op } => EventKind::IssueMain { op: op - base },
+            EventKind::MainComplete { op } => EventKind::MainComplete { op: op - base },
+        }
+    }
+}
+
 /// An event scheduled at an absolute cycle, ordered for a min-heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledEvent {
@@ -141,22 +166,68 @@ impl EventQueue {
         }
     }
 
-    /// Pops the earliest event and advances the clock to its firing time.
-    /// The first pop sorts the seed list.
-    pub fn pop(&mut self) -> Option<ScheduledEvent> {
+    /// Ends seeding: sorts the seed list, and every later event goes onto
+    /// the heap. The first pop does this implicitly; calling it again is a
+    /// no-op.
+    pub(crate) fn start(&mut self) {
         if !self.started {
             self.started = true;
             // Sequence numbers are unique, so the unstable sort is exact
             // and needs no scratch buffer.
             self.seeds.sort_unstable_by_key(|e| Reverse((e.at, e.seq)));
         }
+    }
+
+    /// Pops the earliest event and advances the clock to its firing time.
+    /// The first pop sorts the seed list.
+    pub fn pop(&mut self) -> Option<ScheduledEvent> {
+        self.pop_tagged().map(|(ev, _)| ev)
+    }
+
+    /// Like [`EventQueue::pop`], also telling whether the event came from
+    /// the seed list (`true`) or the heap.
+    fn pop_tagged(&mut self) -> Option<(ScheduledEvent, bool)> {
+        self.start();
         let from_seeds = match (self.seeds.last(), self.heap.peek()) {
             (Some(s), Some(h)) => (s.at, s.seq) < (h.at, h.seq),
             (seed, _) => seed.is_some(),
         };
         let ev = if from_seeds { self.seeds.pop() } else { self.heap.pop() }?;
         self.now = ev.at;
-        Some(ev)
+        Some((ev, from_seeds))
+    }
+
+    /// Firing time of the earliest pending event, without popping it.
+    /// Ends seeding like a pop would.
+    pub(crate) fn next_at(&mut self) -> Option<u64> {
+        self.start();
+        match (self.seeds.last(), self.heap.peek()) {
+            (Some(s), Some(h)) => Some(s.at.min(h.at)),
+            (s, h) => s.or(h).map(|e| e.at),
+        }
+    }
+
+    /// Pops every event firing at cycle `at` while that is the earliest
+    /// pending time, appending each (in pop order) to `out` with whether
+    /// it came from the seed list. [`EventQueue::restore`] undoes it.
+    pub(crate) fn take_due(&mut self, at: u64, out: &mut Vec<(ScheduledEvent, bool)>) {
+        while self.next_at() == Some(at) {
+            out.extend(self.pop_tagged());
+        }
+    }
+
+    /// Puts back events taken by [`EventQueue::take_due`], each into the
+    /// store it came from with its original sequence number, so the pop
+    /// order is exactly as if they had never been taken.
+    pub(crate) fn restore(&mut self, taken: &[(ScheduledEvent, bool)]) {
+        // The seed list pops from its end: push the seeds back latest first.
+        for &(ev, from_seeds) in taken.iter().rev() {
+            if from_seeds {
+                self.seeds.push(ev);
+            } else {
+                self.heap.push(ev);
+            }
+        }
     }
 
     /// Number of pending events: the heap plus the seed events not yet
@@ -273,6 +344,40 @@ mod tests {
         assert!(q.is_empty() && q.now() == 0);
         q.schedule(3, EventKind::IssueDma { op: 0 });
         assert_eq!((q.len(), q.heap_len()), (1, 0), "a cleared queue seeds again");
+    }
+
+    #[test]
+    fn taken_events_restore_to_the_same_pop_order() {
+        // Seeds and heap events tied at cycle 20, around other times.
+        let fill = |q: &mut EventQueue| {
+            for (at, op) in [(20, 0), (10, 1), (20, 2), (30, 3)] {
+                q.schedule(at, EventKind::IssueMain { op });
+            }
+            q.start();
+            for (at, op) in [(20, 4), (25, 5), (20, 6)] {
+                q.schedule(at, EventKind::IssueDma { op });
+            }
+        };
+        let ops = |q: &mut EventQueue| -> Vec<usize> {
+            std::iter::from_fn(|| q.pop()).map(|e| e.kind.op()).collect()
+        };
+        let mut plain = EventQueue::new();
+        fill(&mut plain);
+        let expected = ops(&mut plain);
+
+        let mut q = EventQueue::new();
+        fill(&mut q);
+        assert_eq!(q.pop().map(|e| e.kind.op()), Some(1));
+        let mut taken = Vec::new();
+        q.take_due(20, &mut taken);
+        let tagged: Vec<(usize, bool)> = taken.iter().map(|(e, s)| (e.kind.op(), *s)).collect();
+        assert_eq!(tagged, [(0, true), (2, true), (4, false), (6, false)]);
+        assert_eq!(q.next_at(), Some(25));
+        q.restore(&taken);
+        assert_eq!((q.len(), q.heap_len()), (6, 3));
+        let mut order = vec![1];
+        order.extend(ops(&mut q));
+        assert_eq!(order, expected);
     }
 
     #[test]

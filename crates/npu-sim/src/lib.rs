@@ -53,6 +53,7 @@ pub mod observer;
 pub mod pod;
 pub mod rng;
 pub mod segments;
+pub mod stamp;
 pub mod timeline;
 pub mod timing;
 pub mod trace;
@@ -68,6 +69,7 @@ pub use observer::{NullObserver, SimObserver};
 pub use pod::PodBuilder;
 pub use rng::SplitMix64;
 pub use segments::{SegmentBand, SegmentTimeline};
+pub use stamp::{BatchStamps, ReplayBatch};
 pub use timeline::{
     BusyTimeline, CollectiveSchedule, CycleInterval, EngineScratch, IdleBucket, IdleHistogram,
     Resource, ResourceId, ResourceSet, ResourceTimeline, RunCounters, Schedule,

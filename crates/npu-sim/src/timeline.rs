@@ -335,6 +335,16 @@ impl BusyTimeline {
         }
     }
 
+    /// Records every interval of `other` moved `shift` cycles later.
+    pub(crate) fn extend_shifted(&mut self, other: &BusyTimeline, shift: u64) {
+        for (&kind, list) in &other.intervals {
+            self.intervals.entry(kind).or_default().extend(
+                list.iter()
+                    .map(|iv| CycleInterval { start: iv.start + shift, end: iv.end + shift }),
+            );
+        }
+    }
+
     /// Merged busy intervals of one component (empty if never busy).
     #[must_use]
     pub fn intervals(&self, kind: ComponentKind) -> &[CycleInterval] {
@@ -438,6 +448,18 @@ impl ResourceTimeline {
     pub fn finalize(&mut self) {
         for track in &mut self.tracks {
             merge_intervals(track);
+        }
+    }
+
+    /// Records every interval of `other` moved `shift` cycles later, track
+    /// by track (tracks this timeline does not keep are dropped, like
+    /// [`ResourceTimeline::record`] drops them).
+    pub(crate) fn extend_shifted(&mut self, other: &ResourceTimeline, shift: u64) {
+        for (track, list) in self.tracks.iter_mut().zip(&other.tracks) {
+            track.extend(
+                list.iter()
+                    .map(|iv| CycleInterval { start: iv.start + shift, end: iv.end + shift }),
+            );
         }
     }
 
@@ -722,20 +744,33 @@ pub struct Schedule {
 
 /// Scheduling state of one operator inside the engine.
 #[derive(Debug, Clone, Copy, Default)]
-struct OpState {
-    pending_producers: usize,
-    buffer_ready: bool,
+pub(crate) struct OpState {
+    pub(crate) pending_producers: usize,
+    pub(crate) buffer_ready: bool,
     lead_ready: bool,
-    dma_issued: bool,
-    main_issued: bool,
+    pub(crate) dma_issued: bool,
+    pub(crate) main_issued: bool,
     main_done: bool,
     dma_done: bool,
-    finished: bool,
-    dma_start: u64,
-    dma_end: u64,
-    main_start: u64,
-    main_end: u64,
-    finish: u64,
+    pub(crate) finished: bool,
+    pub(crate) dma_start: u64,
+    pub(crate) dma_end: u64,
+    pub(crate) main_start: u64,
+    pub(crate) main_end: u64,
+    pub(crate) finish: u64,
+}
+
+impl OpState {
+    /// The operator's phase times as scheduled so far.
+    pub(crate) fn scheduled(&self) -> ScheduledOp {
+        ScheduledOp {
+            dma_start: self.dma_start,
+            dma_end: self.dma_end,
+            main_start: self.main_start,
+            main_end: self.main_end,
+            finish: self.finish,
+        }
+    }
 }
 
 /// Reusable run-state buffers for [`TimelineEngine::run_with_scratch`]:
@@ -744,8 +779,8 @@ struct OpState {
 /// a bench loop) keeps the hot loop free of per-run allocations.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
-    state: Vec<OpState>,
-    queue: EventQueue,
+    pub(crate) state: Vec<OpState>,
+    pub(crate) queue: EventQueue,
 }
 
 /// The event-driven timeline engine.
@@ -807,13 +842,13 @@ pub struct TimelineEngine {
 /// topology. `releases` (one entry per operator; empty = every operator
 /// released at cycle 0) lets a prepared engine serve many release
 /// vectors.
-struct EngineRun<'a> {
-    topo: &'a TimelineEngine,
+pub(crate) struct EngineRun<'a> {
+    pub(crate) topo: &'a TimelineEngine,
     releases: &'a [u64],
-    state: &'a mut [OpState],
-    queue: &'a mut EventQueue,
-    timeline: BusyTimeline,
-    tracks: ResourceTimeline,
+    pub(crate) state: &'a mut [OpState],
+    pub(crate) queue: &'a mut EventQueue,
+    pub(crate) timeline: BusyTimeline,
+    pub(crate) tracks: ResourceTimeline,
     /// When each resource instance frees up, indexed by [`ResourceId`].
     free_at: Vec<u64>,
     /// When each chip's DMA prefetch channel frees up. Demand traffic
@@ -821,7 +856,7 @@ struct EngineRun<'a> {
     /// entry in `free_at` instead.
     prefetch_free: Vec<u64>,
     /// Inline event-loop counters, handed to the schedule at the end.
-    counters: RunCounters,
+    pub(crate) counters: RunCounters,
 }
 
 impl TimelineEngine {
@@ -984,6 +1019,32 @@ impl TimelineEngine {
         scratch: &mut EngineScratch,
         obs: &mut O,
     ) -> Schedule {
+        let mut run = self.begin(releases, scratch);
+        run.seed_all(obs);
+        loop {
+            // Sampling the heap length right before each pop captures the
+            // true heap peak: the heap only grows between two pops.
+            run.counters.heap_peak = run.counters.heap_peak.max(run.queue.heap_len() as u64);
+            let Some(ev) = run.queue.pop() else { break };
+            run.counters.events_popped += 1;
+            obs.event_popped(ev.at, run.queue.len());
+            run.dispatch(ev.kind, ev.at, obs);
+        }
+        run.finish()
+    }
+
+    /// A fresh run over this engine: every operator's state reset, the
+    /// queue empty, every resource free at cycle 0. Nothing is seeded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `releases` is neither empty nor exactly one entry per
+    /// operator.
+    pub(crate) fn begin<'a>(
+        &'a self,
+        releases: &'a [u64],
+        scratch: &'a mut EngineScratch,
+    ) -> EngineRun<'a> {
         let n = self.phases.len();
         assert!(
             releases.is_empty() || releases.len() == n,
@@ -993,7 +1054,7 @@ impl TimelineEngine {
         scratch.state.clear();
         scratch.state.resize(n, OpState::default());
         scratch.queue.clear();
-        let mut run = EngineRun {
+        EngineRun {
             topo: self,
             releases,
             state: &mut scratch.state,
@@ -1002,7 +1063,8 @@ impl TimelineEngine {
             // Single-chip per-resource tracks duplicate the kind-level
             // timeline record for record, so the hot loop skips them (an
             // empty-track `ResourceTimeline` drops every `record`) and the
-            // view is derived from the merged component tracks below.
+            // view is derived from the merged component tracks in
+            // `EngineRun::finish`.
             tracks: if self.resources == ResourceSet::single_chip() {
                 ResourceTimeline::default()
             } else {
@@ -1011,62 +1073,64 @@ impl TimelineEngine {
             free_at: vec![0; self.resources.num_resources()],
             prefetch_free: vec![0; self.resources.num_chips()],
             counters: RunCounters::for_set(&self.resources),
-        };
-        // Seed the queue: buffer-free prefetches, then every source
-        // operator (all producers already satisfied). These events land in
-        // the queue's seed list, not its heap, so release-clamped sources
-        // of later batches wait there without growing the heap.
+        }
+    }
+
+    /// The operators whose input buffer `op`'s completion frees.
+    pub(crate) fn buffer_consumers(&self, op: usize) -> &[usize] {
+        &self.buf_edges[self.buf_starts[op]..self.buf_starts[op + 1]]
+    }
+}
+
+impl EngineRun<'_> {
+    /// Seeds the whole phase vector: buffer-free prefetches, then every
+    /// source operator (all producers already satisfied). These events
+    /// land in the queue's seed list, not its heap, so release-clamped
+    /// sources of later batches wait there without growing the heap.
+    pub(crate) fn seed_all<O: SimObserver>(&mut self, obs: &mut O) {
+        let topo = self.topo;
+        let n = topo.phases.len();
         for k in 0..n {
-            run.state[k].buffer_ready = self.buffer_dep[k].is_none();
-            run.state[k].pending_producers = self.phases[k].producers.len();
-            if self.phases[k].dma_cycles > 0 {
-                run.try_issue_dma(k, 0, obs);
+            self.state[k].buffer_ready = topo.buffer_dep[k].is_none();
+            self.state[k].pending_producers = topo.phases[k].producers.len();
+            if topo.phases[k].dma_cycles > 0 {
+                self.try_issue_dma(k, 0, obs);
             }
         }
         for k in 0..n {
-            if run.state[k].pending_producers == 0 {
-                run.try_issue_main(k, 0, obs);
+            if self.state[k].pending_producers == 0 {
+                self.try_issue_main(k, 0, obs);
             }
         }
-        loop {
-            // Sampling the heap length right before each pop captures the
-            // true heap peak: the heap only grows between two pops.
-            run.counters.heap_peak = run.counters.heap_peak.max(run.queue.heap_len() as u64);
-            let Some(ev) = run.queue.pop() else { break };
-            run.counters.events_popped += 1;
-            let t = ev.at;
-            obs.event_popped(t, run.queue.len());
-            match ev.kind {
-                EventKind::IssueDma { op } => run.issue_dma(op, t, obs),
-                EventKind::DmaLeadArrived { op } => {
-                    run.state[op].lead_ready = true;
-                    run.try_issue_main(op, t, obs);
-                }
-                EventKind::DmaComplete { op } => {
-                    run.state[op].dma_done = true;
-                    run.check_finish(op, t, obs);
-                }
-                EventKind::IssueMain { op } => run.issue_main(op, t, obs),
-                EventKind::MainComplete { op } => {
-                    run.state[op].main_done = true;
-                    run.check_finish(op, t, obs);
-                }
+    }
+
+    /// Handles one popped event firing at cycle `t`.
+    pub(crate) fn dispatch<O: SimObserver>(&mut self, kind: EventKind, t: u64, obs: &mut O) {
+        match kind {
+            EventKind::IssueDma { op } => self.issue_dma(op, t, obs),
+            EventKind::DmaLeadArrived { op } => {
+                self.state[op].lead_ready = true;
+                self.try_issue_main(op, t, obs);
+            }
+            EventKind::DmaComplete { op } => {
+                self.state[op].dma_done = true;
+                self.check_finish(op, t, obs);
+            }
+            EventKind::IssueMain { op } => self.issue_main(op, t, obs),
+            EventKind::MainComplete { op } => {
+                self.state[op].main_done = true;
+                self.check_finish(op, t, obs);
             }
         }
-        let makespan = run.state.iter().map(|s| s.finish).max().unwrap_or(0);
-        let ops = run
-            .state
-            .iter()
-            .map(|s| ScheduledOp {
-                dma_start: s.dma_start,
-                dma_end: s.dma_end,
-                main_start: s.main_start,
-                main_end: s.main_end,
-                finish: s.finish,
-            })
-            .collect();
-        let mut timeline = run.timeline;
-        let mut resource_timeline = run.tracks;
+    }
+
+    /// Turns the finished run into its [`Schedule`].
+    pub(crate) fn finish(self) -> Schedule {
+        let topo = self.topo;
+        let makespan = self.state.iter().map(|s| s.finish).max().unwrap_or(0);
+        let ops = self.state.iter().map(OpState::scheduled).collect();
+        let mut timeline = self.timeline;
+        let mut resource_timeline = self.tracks;
         // The SRAM has no blanket busy interval here: the engine layer
         // above maps the allocator's per-segment lifetimes through the
         // scheduled operator spans and records the union of *live* segment
@@ -1074,7 +1138,7 @@ impl TimelineEngine {
         // genuinely always on.
         timeline.record(ComponentKind::Other, 0, makespan);
         timeline.finalize();
-        if self.resources == ResourceSet::single_chip() {
+        if topo.resources == ResourceSet::single_chip() {
             resource_timeline = ResourceTimeline::single_chip_view(&timeline);
         } else {
             resource_timeline.finalize();
@@ -1083,15 +1147,13 @@ impl TimelineEngine {
             ops,
             makespan,
             timeline,
-            resources: self.resources,
+            resources: topo.resources,
             resource_timeline,
-            counters: run.counters,
+            counters: self.counters,
         }
     }
-}
 
-impl EngineRun<'_> {
-    fn release_of(&self, op: usize) -> u64 {
+    pub(crate) fn release_of(&self, op: usize) -> u64 {
         self.releases.get(op).copied().unwrap_or(0)
     }
 
@@ -1286,10 +1348,14 @@ impl EngineRun<'_> {
         }
         // Buffer edges: release this operator's input buffer.
         for i in self.topo.buf_starts[op]..self.topo.buf_starts[op + 1] {
-            let k = self.topo.buf_edges[i];
-            self.state[k].buffer_ready = true;
-            self.try_issue_dma(k, now, obs);
+            self.release_buffer(self.topo.buf_edges[i], now, obs);
         }
+    }
+
+    /// Frees `op`'s input buffer at `now` and tries to issue its prefetch.
+    pub(crate) fn release_buffer<O: SimObserver>(&mut self, op: usize, now: u64, obs: &mut O) {
+        self.state[op].buffer_ready = true;
+        self.try_issue_dma(op, now, obs);
     }
 }
 

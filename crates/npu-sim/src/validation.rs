@@ -71,11 +71,6 @@ impl ValidationReport {
     }
 }
 
-// The SRAM capacity audit (`SramCapacityReport`, `SramCapacityViolation`)
-// moved into the static analyzer, which subsumes it; re-exported here so
-// existing `npu_sim::validation::SramCapacityReport` paths keep working.
-pub use crate::analysis::{SramCapacityReport, SramCapacityViolation};
-
 /// Pearson correlation coefficient squared between two equally long series.
 ///
 /// Returns 0.0 for series shorter than two points or with zero variance.
@@ -105,6 +100,7 @@ pub fn correlation_r2(x: &[f64], y: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::SramCapacityReport;
     use crate::engine::Simulator;
     use npu_arch::{ChipConfig, NpuGeneration, ParallelismConfig};
     use npu_compiler::Compiler;
@@ -125,25 +121,6 @@ mod tests {
         let x = [1.0, 2.0, 3.0, 4.0];
         let y = [4.0, 3.0, 2.0, 1.0];
         assert!((correlation_r2(&x, &y) - 1.0).abs() < 1e-12, "anti-correlation also has R²=1");
-    }
-
-    #[test]
-    fn sram_capacity_report_flags_over_capacity_operators() {
-        // Violation path: two of four operators claim more than the
-        // 1 MiB capacity, and the timeline peak exceeds it too.
-        let cap = 1 << 20;
-        let report = SramCapacityReport::from_parts(cap, [cap / 2, cap + 1, cap, 3 * cap], 2 * cap);
-        assert!(!report.is_ok());
-        assert_eq!(report.violations.len(), 2);
-        assert_eq!(report.violations[0].op_index, 1);
-        assert_eq!(report.violations[1].op_index, 3);
-        assert_eq!(report.violations[1].live_bytes, 3 * cap);
-        // Peak alone also fails the audit.
-        let peak_only = SramCapacityReport::from_parts(cap, [cap / 2], cap + 1);
-        assert!(peak_only.violations.is_empty());
-        assert!(!peak_only.is_ok());
-        // A clean allocation passes.
-        assert!(SramCapacityReport::from_parts(cap, [cap / 2, cap], cap).is_ok());
     }
 
     #[test]

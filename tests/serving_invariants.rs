@@ -17,7 +17,13 @@
 //!     scheduled phase time and the full idle histogram;
 //! (e) **accounting** — queueing + service = latency per request, and the
 //!     low-load trace exposes long inter-request idle intervals that the
-//!     unmodified interval-walking evaluator actually gates.
+//!     unmodified interval-walking evaluator actually gates;
+//! (f) **stamping** — `run`, which stamps every batch that ran alone from
+//!     its template's recorded schedule, equals both the plain event loop
+//!     of `run_traced` and the fresh compile of `run_uncached` as a whole
+//!     `SimulationResult` (counters included), and stamps exactly the
+//!     batches the event-loop schedule shows ran alone — none when the
+//!     chip is saturated, none across a dispatch tied to a batch end.
 
 use npu_arch::{ChipConfig, ComponentKind, NpuGeneration};
 use npu_compiler::Compiler;
@@ -64,6 +70,47 @@ fn schedule_digest(sim: &SimulationResult) -> u64 {
         }
     }
     fnv.digest()
+}
+
+/// Batches of an event-loop outcome that ran alone on an idle chip: every
+/// earlier batch completed strictly before the batch's dispatch, and it
+/// completed strictly before the next batch's dispatch.
+fn isolated_batches(outcome: &ServingOutcome) -> u64 {
+    let mut earlier_end: Option<u64> = None;
+    let mut isolated = 0;
+    for (index, batch) in outcome.batches.iter().enumerate() {
+        let next = outcome.batches.get(index + 1).map(|b| b.dispatch_cycle);
+        if earlier_end.is_none_or(|end| end < batch.dispatch_cycle)
+            && next.is_none_or(|next| batch.completion_cycle < next)
+        {
+            isolated += 1;
+        }
+        earlier_end = earlier_end.max(Some(batch.completion_cycle));
+    }
+    isolated
+}
+
+/// Serves `arrivals` through `run` and through `run_traced`'s plain event
+/// loop, asserts the two outcomes are equal and that `run` stamped exactly
+/// the isolated batches, and returns `run`'s outcome with its stamp count.
+fn stamped_run(
+    server: &ServingSimulator,
+    arrivals: &[u64],
+    policy: &BatchPolicy,
+    label: &str,
+) -> (ServingOutcome, u64) {
+    let (oracle, _) = server.run_traced(arrivals, policy);
+    let before = server.cache_counters().batches_stamped;
+    let outcome = server.run(arrivals, policy);
+    let stamped = outcome.cache.batches_stamped - before;
+    assert!(
+        outcome.simulation == oracle.simulation,
+        "{label}: the stamped replay diverges from the event loop"
+    );
+    assert_eq!(outcome.batches, oracle.batches, "{label}: batch records diverge");
+    assert_eq!(outcome.requests, oracle.requests, "{label}: request records diverge");
+    assert_eq!(stamped, isolated_batches(&oracle), "{label}: stamped batches");
+    (outcome, stamped)
 }
 
 fn check_release_causality(outcome: &ServingOutcome, label: &str) {
@@ -231,7 +278,13 @@ fn makespan_grows_monotonically_as_offered_load_falls() {
             last = outcome.makespan_cycles();
         }
         // The widest gap dominates the makespan outright.
-        let saturated = server.run(&ArrivalProcess::saturating().arrivals(8), &policy);
+        let (saturated, stamped) = stamped_run(
+            &server,
+            &ArrivalProcess::saturating().arrivals(8),
+            &policy,
+            &format!("saturated / {}", policy.label()),
+        );
+        assert_eq!(stamped, 0, "{}: two batches at cycle 0 overlap", policy.label());
         assert!(
             last > 2 * saturated.makespan_cycles(),
             "{}: low load ({last}) should dwarf the saturated makespan ({})",
@@ -321,17 +374,24 @@ fn cached_compile_path_matches_fresh_compile_bit_for_bit() {
         }
         .arrivals(16),
     ));
+    let mut stamped_total = 0;
     for (name, arrivals) in &traces {
         for policy in corpus_policies() {
             let label = format!("{name} / {}", policy.label());
             let fresh = server.run_uncached(arrivals, &policy);
-            let cached = server.run(arrivals, &policy);
+            let (cached, stamped) = stamped_run(&server, arrivals, &policy, &label);
+            stamped_total += stamped;
             assert_eq!(
                 schedule_digest(&cached.simulation),
                 schedule_digest(&fresh.simulation),
                 "{label}: cached-compile schedule diverges from the fresh compile"
             );
-            assert_eq!(cached.simulation.timings(), fresh.simulation.timings(), "{label}");
+            // The whole result — timings, timeline, segments, activity,
+            // releases and every event-loop counter.
+            assert!(
+                cached.simulation == fresh.simulation,
+                "{label}: cached-compile result diverges from the fresh compile"
+            );
             assert_eq!(cached.batches, fresh.batches, "{label}: batch records diverge");
             assert_eq!(cached.requests, fresh.requests, "{label}: request records diverge");
             assert_eq!(
@@ -342,13 +402,55 @@ fn cached_compile_path_matches_fresh_compile_bit_for_bit() {
             // Re-running the cached path (now a guaranteed cache hit, with
             // warm scratch buffers) stays deterministic.
             let replay = server.run(arrivals, &policy);
-            assert_eq!(
-                schedule_digest(&replay.simulation),
-                schedule_digest(&cached.simulation),
-                "{label}: cache-hit replay diverges"
-            );
+            assert!(replay.simulation == cached.simulation, "{label}: cache-hit replay diverges");
         }
     }
+    assert!(stamped_total > 0, "the corpus must hold batches that ran alone");
+}
+
+#[test]
+fn decode_trace_mixes_stamped_and_event_loop_batches() {
+    // Llama3-8B decode, two requests per batch. Dispatches relative to one
+    // batch's makespan `m`: batches 0 and 1 overlap, batch 2 runs alone,
+    // batches 3 and 4 overlap, and the last batch runs alone.
+    let server = ServingSimulator::new(
+        NpuGeneration::D,
+        1,
+        Workload::llm(LlamaModel::Llama3_8B, LlmPhase::Decode).with_batch(2),
+    );
+    let policy = BatchPolicy::Static { batch: 2 };
+    let m = server.run_uncached(&[0, 0], &policy).makespan_cycles();
+    let arrivals: Vec<u64> = [0, m / 2, 3 * m, 5 * m, 5 * m + m / 3, 8 * m]
+        .into_iter()
+        .flat_map(|dispatch| [dispatch, dispatch])
+        .collect();
+    let (outcome, stamped) = stamped_run(&server, &arrivals, &policy, "decode");
+    assert_eq!(stamped, 2, "batches 2 and 5 run alone");
+    assert!(outcome.simulation == server.run_uncached(&arrivals, &policy).simulation);
+}
+
+#[test]
+fn dispatches_tied_to_a_batch_end_go_through_the_event_loop() {
+    // One request per batch, each dispatched at the previous batch's
+    // completion plus a slack. The completion is read off the plain
+    // schedule of the prefix: a batch that starts at or after it cannot
+    // move it.
+    let server = dlrm_server();
+    let policy = BatchPolicy::Static { batch: 1 };
+    let tied = |slacks: &[u64]| {
+        let mut arrivals = vec![0u64];
+        for &slack in slacks {
+            let (prefix, _) = server.run_traced(&arrivals, &policy);
+            arrivals.push(
+                prefix.batches.last().expect("one batch per request").completion_cycle + slack,
+            );
+        }
+        stamped_run(&server, &arrivals, &policy, &format!("slacks {slacks:?}")).1
+    };
+    // Batch 1 dispatches at batch 0's completion: neither runs alone.
+    assert_eq!(tied(&[0, 1, 1_000_000]), 2);
+    assert_eq!(tied(&[1, 1, 1]), 4);
+    assert_eq!(tied(&[0, 0, 0]), 0);
 }
 
 #[test]
